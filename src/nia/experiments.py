@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -150,7 +151,7 @@ def _scan_grid(config: ExperimentConfig) -> list[tuple[int, int]]:
 
 
 def _scan_seed_rows(
-    k: int, n: int, seed: int, grid: list[tuple[int, int]], solver: tuple, chash: str
+    k: int, n: int, seed: int, grid: list[tuple[int, int]], opts: FitOptions, chash: str
 ) -> list[dict]:
     """All scan rows for one seed.
 
@@ -158,7 +159,6 @@ def _scan_seed_rows(
     sees its ancestors), so one run at the maximum depth yields the sink
     losses of every shallower depth.
     """
-    opts = FitOptions(*solver)
     base = {
         "config_hash": chash,
         "k": k,
@@ -215,8 +215,7 @@ def scan_experiment(config: ExperimentConfig, threads: int | None = None) -> lis
         raise InvalidConfig("scan currently supports the generated instance only")
     grid = _scan_grid(config)
     k, n = config.instance.k, config.instance.n
-    sc = config.solver
-    solver = (sc.grad_tol, sc.max_iters, sc.ridge, sc.backtrack, sc.init_step)
+    opts = config.solver.to_fit_options()
     chash = config.config_hash()
     workers = threads if threads is not None else config.threads
     seeds = config.instance.seeds
@@ -225,20 +224,16 @@ def scan_experiment(config: ExperimentConfig, threads: int | None = None) -> lis
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(
                 pool.map(
-                    _scan_seed_worker,
-                    [(k, n, seed, grid, solver, chash) for seed in seeds],
+                    _scan_seed_rows,
+                    repeat(k), repeat(n), seeds, repeat(grid), repeat(opts), repeat(chash),
                 )
             )
     else:
-        per_seed = [_scan_seed_rows(k, n, seed, grid, solver, chash) for seed in seeds]
+        per_seed = [_scan_seed_rows(k, n, seed, grid, opts, chash) for seed in seeds]
 
     rows = [row for rows_ in per_seed for row in rows_]
     rows.sort(key=lambda r: (r["D"], r["M"], r["seed"]))
     return rows
-
-
-def _scan_seed_worker(args: tuple) -> list[dict]:
-    return _scan_seed_rows(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
 """Binary cross-entropy evaluation and damped-Newton logistic regression.
 
 All losses and gradients are empirical means over the supplied rows. The
-solver is a plain Newton iteration with backtracking line search; per-agent
-problems in this package are low-dimensional, so Newton reaches gradient
-sup-norms near machine precision, which the identity-verification suites
-require.
+solver is a plain Newton iteration with backtracking line search, started
+from a caller-supplied point (the protocol passes its best parent's
+pass-through) or from zero; per-agent problems in this package are
+low-dimensional, so Newton reaches gradient sup-norms near machine
+precision, which the identity-verification suites require.
+
+sigmoid, softplus and the loss all derive from e = exp(-|z|), so each Newton
+iterate evaluates one exponential over the rows. The public ``sigmoid`` and
+``stable_softplus`` are bitwise equal to their masked two-branch forms, which
+keeps generated datasets bit-reproducible.
 """
 
 from __future__ import annotations
@@ -23,25 +29,42 @@ _ARMIJO_C1 = 1e-4
 _MIN_STEP = 1e-12
 
 
-def stable_softplus(z):
-    """log(1 + exp(z)) without overflow for any finite z.
+def _softplus_exp(z: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write e = exp(-|z|) into ``e`` and softplus(z) = max(z, 0) + log1p(e)
+    into ``out``, with one exponential; returns ``out``.
 
-    Computed as max(z, 0) + log1p(exp(-|z|)), so the identity
-    softplus(z) - softplus(-z) = z holds exactly by branch structure.
+    The sigmoid follows from the same e (``_sigmoid_from_exp``), so a Newton
+    iterate needs a single exponential for its loss, gradient and Hessian.
+    The identity softplus(z) - softplus(-z) = z holds exactly by branch
+    structure.
     """
+    np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
+    return np.add(np.log1p(e, out=out), np.maximum(z, 0.0), out=out)
+
+
+def _sigmoid_from_exp(z: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write sigmoid(z) into ``out`` (which may be ``e``) given e = exp(-|z|):
+    1 / (1 + e) for z >= 0 and e / (1 + e) below, so neither branch overflows.
+
+    The numerator is max(e, [z >= 0]), which equals ``where(z >= 0, 1, e)``
+    because e <= 1 (NaN stays NaN) and costs a fraction of the masked select.
+    """
+    den = 1.0 + e
+    return np.divide(np.maximum(e, z >= 0, out=out), den, out=out)
+
+
+def stable_softplus(z):
+    """log(1 + exp(z)) without overflow for any finite z, computed as
+    max(z, 0) + log1p(exp(-|z|))."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    out = _softplus_exp(z, np.empty_like(z), np.empty_like(z))
     return out if out.ndim else float(out)
 
 
 def sigmoid(z):
     """1 / (1 + exp(-z)) evaluated on the non-overflowing branch."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    out = _sigmoid_from_exp(z, np.exp(-np.abs(z)), np.empty_like(z))
     return out if out.ndim else float(out)
 
 
@@ -128,23 +151,30 @@ def residual_moments(design, logits, labels) -> np.ndarray:
     return x.T @ (sigmoid(z) - y) / x.shape[0]
 
 
-def _objective(z: np.ndarray, y: np.ndarray, theta: np.ndarray, ridge: float) -> float:
-    val = float(np.mean(stable_softplus(z) - y * z))
-    if ridge > 0:
-        val += 0.5 * ridge * float(theta @ theta)
-    return val
+def _ridge_penalty(theta: np.ndarray, ridge: float) -> float:
+    return 0.5 * ridge * float(theta @ theta) if ridge > 0 else 0.0
 
 
-def fit_logistic(design, labels, opts: FitOptions | None = None) -> FitResult:
+def fit_logistic(
+    design, labels, opts: FitOptions | None = None, start=None
+) -> FitResult:
     """Minimize empirical BCE over linear logits on the design columns.
 
-    Damped Newton from the zero vector: solve H step = -grad, backtrack until
-    the Armijo condition holds (with a rounding-slack term so steps near
-    machine precision are not rejected), stop when the gradient sup-norm
-    reaches ``grad_tol``. A zero-column design converges immediately at the
+    Damped Newton from ``start`` (default the zero vector; with
+    ``opts.intercept`` its last entry is the bias): solve H step = -grad,
+    backtrack until the Armijo condition holds (with a rounding-slack term so
+    steps near machine precision are not rejected), stop when the gradient
+    sup-norm reaches ``grad_tol``. A ``start`` that is already optimal returns
+    with zero iterations. A zero-column design converges immediately at the
     log(2) baseline. Singular Hessians fall back to a least-squares step; if
     no progress is possible the result is returned with converged=False and
     a diagnostic message rather than raising.
+
+    Each iterate costs one exponential over the rows: the line search keeps
+    the accepted candidate's loss and exp(-|z|), from which the next
+    gradient and Hessian follow. ``loss`` is bitwise ``bce_loss`` of the
+    logits the solver carries, which match ``design @ weights`` up to
+    rounding.
     """
     opts = opts or FitOptions()
     x = np.asarray(design, dtype=np.float64)
@@ -161,6 +191,14 @@ def fit_logistic(design, labels, opts: FitOptions | None = None) -> FitResult:
     if opts.intercept:
         x = np.column_stack([x, np.ones(x.shape[0])])
     n, m = x.shape
+    if start is None:
+        theta = np.zeros(m)
+    else:
+        theta = np.array(start, dtype=np.float64).ravel()
+        if theta.shape[0] != m:
+            raise DimensionMismatch(f"start has {theta.shape[0]} entries, design has {m} columns")
+        if not np.isfinite(theta).all():
+            raise NonFinite("start contains non-finite values")
     if m == 0:
         # No information: predict the prior (zero logits, log 2 loss).
         return FitResult(
@@ -171,25 +209,44 @@ def fit_logistic(design, labels, opts: FitOptions | None = None) -> FitResult:
             converged=True,
         )
 
-    theta = np.zeros(m)
-    z = np.zeros(n)
+    # One row per design column, so gradient, Hessian and direction are
+    # row-major products; a transposed view of a C-ordered stack (as
+    # ``agent_design`` returns) needs no copy.
+    xt = np.ascontiguousarray(x.T)
+    # Four row-length arrays serve the whole fit, because touching fresh
+    # pages costs about as much as the arithmetic. z and e hold the current
+    # logits and exp(-|z|), zc and ec the line-search candidate's; an
+    # accepted candidate swaps places with the current pair. Between those
+    # uses they are scratch: e turns into the sigmoid p, zc holds p - y and
+    # then the Hessian weights, ec one weighted design row at a time (so no
+    # m x n product is formed), and e the candidate's softplus rows.
+    z = np.zeros(n) if start is None else theta @ xt
+    e, zc, ec = np.empty(n), np.empty(n), np.empty(n)
+
+    def mean_bce(z: np.ndarray, e: np.ndarray, work: np.ndarray) -> float:
+        # Bitwise bce_loss(z, y); fills e with exp(-|z|).
+        rows = _softplus_exp(z, e, work)
+        rows -= y * z
+        return float(np.mean(rows))
+
+    loss = mean_bce(z, e, zc)
     eye = np.eye(m)
     for it in range(opts.max_iters + 1):
-        p = sigmoid(z)
-        grad = x.T @ (p - y) / n + opts.ridge * theta
+        p = _sigmoid_from_exp(z, e, e)
+        grad = xt @ np.subtract(p, y, out=zc) / n + opts.ridge * theta
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= opts.grad_tol:
-            return FitResult(theta, bce_loss(z, y), grad_norm, it, True)
+            return FitResult(theta, loss, grad_norm, it, True)
         if float(np.linalg.norm(theta)) > WEIGHT_NORM_CAP:
             return FitResult(
-                theta, bce_loss(z, y), grad_norm, it, False,
+                theta, loss, grad_norm, it, False,
                 message=f"weight norm exceeded {WEIGHT_NORM_CAP:g}; data may be separable",
             )
         if it == opts.max_iters:
             break
 
-        w = p * (1.0 - p)
-        hess = (x * w[:, None]).T @ x / n + opts.ridge * eye
+        w = np.multiply(p, np.subtract(1.0, p, out=zc), out=zc)
+        hess = np.array([xt @ np.multiply(row, w, out=ec) for row in xt]) / n + opts.ridge * eye
         try:
             step = np.linalg.solve(hess, -grad)
             if not np.isfinite(step).all():
@@ -202,28 +259,26 @@ def fit_logistic(design, labels, opts: FitOptions | None = None) -> FitResult:
             step = -grad
             slope = -float(grad @ grad)
 
-        f0 = _objective(z, y, theta, opts.ridge)
-        dz = x @ step
+        f0 = loss + _ridge_penalty(theta, opts.ridge)
         t = opts.init_step
         slack = 4.0 * np.finfo(np.float64).eps * (1.0 + abs(f0))
         accepted = False
         while t >= _MIN_STEP:
             cand = theta + t * step
-            zc = z + t * dz
-            if _objective(zc, y, cand, opts.ridge) <= f0 + _ARMIJO_C1 * t * slope + slack:
-                theta, z = cand, zc
+            np.add(z, np.matmul(t * step, xt, out=zc), out=zc)
+            lc = mean_bce(zc, ec, e)
+            if lc + _ridge_penalty(cand, opts.ridge) <= f0 + _ARMIJO_C1 * t * slope + slack:
+                theta, loss = cand, lc
+                z, zc, e, ec = zc, z, ec, e
                 accepted = True
                 break
             t *= opts.backtrack
         if not accepted:
             return FitResult(
-                theta, bce_loss(z, y), grad_norm, it, False,
+                theta, loss, grad_norm, it, False,
                 message="line search stalled; Hessian may be singular",
             )
 
-    p = sigmoid(z)
-    grad = x.T @ (p - y) / n + opts.ridge * theta
     return FitResult(
-        theta, bce_loss(z, y), float(np.max(np.abs(grad))), opts.max_iters, False,
-        message="max_iters reached",
+        theta, loss, grad_norm, opts.max_iters, False, message="max_iters reached"
     )

@@ -18,11 +18,6 @@ from .errors import DimensionMismatch, MissingParent, NotConvergedWarning
 from .graph import AgentGraph
 from .logistic import FitOptions, FitResult, bce_loss, fit_logistic
 
-# Pass-through of a parent's logits is always feasible, so consecutive path
-# losses may increase only by solver slack.
-MONOTONE_SLACK_FACTOR = 10.0
-
-
 @dataclass(frozen=True)
 class AgentModel:
     """Fitted parameters of one agent: local feature weights ``w`` (ascending
@@ -83,7 +78,8 @@ def agent_design(
         cols.append(trace.logits[parent])
     if not cols:
         return np.empty((dataset.n, 0))
-    return np.column_stack(cols)
+    # Stacked one column per row, so fit_logistic's transpose is a view.
+    return np.stack(cols).T
 
 
 def run_protocol(
@@ -92,6 +88,12 @@ def run_protocol(
     opts: FitOptions | None = None,
 ) -> ProtocolTrace:
     """Execute the sequential protocol and return the complete trace.
+
+    An agent with parents starts its fit at pass-through of its lowest-loss
+    parent (weight 1 on that column, 0 elsewhere; ties go to the first
+    declared parent). That point is always feasible and its loss is the
+    parent's, so by descent an agent never ends worse than its best parent
+    beyond solver slack. Agents without parents start at zero.
 
     Agents that fail to converge are recorded (converged=False) and their
     capped weights are still used downstream; the run never aborts on an
@@ -107,8 +109,13 @@ def run_protocol(
     trace = ProtocolTrace(order=graph.topo_order, models={}, logits={}, losses={})
     for agent_id in graph.topo_order:
         design = agent_design(dataset, graph, agent_id, trace)
-        fit = fit_logistic(design, dataset.labels, opts)
         n_local = len(graph.feature_set(agent_id))
+        parents = graph.parents_of(agent_id)
+        start = None
+        if parents:
+            start = np.zeros(design.shape[1])
+            start[n_local + int(np.argmin([trace.losses[p] for p in parents]))] = 1.0
+        fit = fit_logistic(design, dataset.labels, opts, start)
         # Publish the column recomputed from the final weights so that
         # logits[a] == design @ weights holds exactly; record the loss of the
         # published column for consistency with downstream monotone checks.

@@ -23,6 +23,59 @@ from nia import (
 LOG2 = math.log(2.0)
 
 
+def _reference_sigmoid(z):
+    # The masked two-branch form the generator's labels were first drawn with.
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out if out.ndim else float(out)
+
+
+def _reference_softplus(z):
+    z = np.asarray(z, dtype=np.float64)
+    out = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    return out if out.ndim else float(out)
+
+
+def _pin_grid():
+    special = [0.0, 700.0, 745.0, 746.0, 1e8, 1e-300, 5e-324, 1.0, 36.7]
+    rng = np.random.default_rng(31)
+    scales = np.geomspace(0.1, 300.0, 100_000)
+    return np.concatenate([special, [-v for v in special], rng.normal(size=scales.size) * scales])
+
+
+class TestBitwisePin:
+    """sigmoid and stable_softplus are pinned bit for bit to their reference
+    forms: generated labels, and so dataset bytes, depend on sigmoid."""
+
+    @pytest.mark.parametrize(
+        "public, reference",
+        [(sigmoid, _reference_sigmoid), (stable_softplus, _reference_softplus)],
+    )
+    def test_arrays_equal_reference(self, public, reference):
+        z = _pin_grid()
+        got, want = public(z), reference(z)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize(
+        "public, reference",
+        [(sigmoid, _reference_sigmoid), (stable_softplus, _reference_softplus)],
+    )
+    def test_scalars_equal_reference(self, public, reference):
+        for z in _pin_grid()[:18]:
+            got = public(float(z))
+            assert type(got) is float
+            assert got == reference(float(z))
+
+    def test_negative_zero(self):
+        assert sigmoid(-0.0) == 0.5
+        assert stable_softplus(-0.0) == LOG2
+
+
 class TestStableSoftplus:
     def test_at_zero(self):
         assert stable_softplus(0.0) == pytest.approx(LOG2, rel=1e-15)
@@ -219,6 +272,59 @@ class TestFitLogistic:
         b = fit_logistic(design, labels)
         assert np.array_equal(a.weights, b.weights)
         assert a.loss == b.loss
+
+
+class TestWarmStart:
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(37)
+        design = rng.normal(size=(3000, 3))
+        labels = (rng.random(3000) < sigmoid(design @ np.array([0.8, -0.4, 0.2]))).astype(float)
+        return design, labels
+
+    def test_nonzero_start_reaches_zero_start_loss(self, problem):
+        design, labels = problem
+        cold = fit_logistic(design, labels)
+        warm = fit_logistic(design, labels, start=[2.0, 1.0, -1.5])
+        assert cold.converged and warm.converged
+        assert abs(warm.loss - cold.loss) <= 1e-12
+
+    def test_optimal_start_takes_no_iterations(self, problem):
+        design, labels = problem
+        cold = fit_logistic(design, labels)
+        again = fit_logistic(design, labels, start=cold.weights)
+        assert again.converged
+        assert again.iterations == 0
+        assert np.array_equal(again.weights, cold.weights)
+
+    def test_loss_is_bce_of_final_logits(self, problem):
+        # The solver carries its logits forward step by step, so they match
+        # design @ weights up to rounding only.
+        design, labels = problem
+        fit = fit_logistic(design, labels, start=[0.0, 0.0, 1.0])
+        assert fit.iterations > 0
+        assert abs(fit.loss - bce_loss(design @ fit.weights, labels)) <= 1e-14
+
+    @pytest.mark.parametrize("start", [[1.0], [1.0, 0.0, 0.0, 0.0]])
+    def test_wrong_length_rejected(self, problem, start):
+        design, labels = problem
+        with pytest.raises(DimensionMismatch):
+            fit_logistic(design, labels, start=start)
+
+    def test_nonfinite_start_rejected(self, problem):
+        design, labels = problem
+        with pytest.raises(NonFinite):
+            fit_logistic(design, labels, start=[0.0, np.inf, 0.0])
+
+    def test_intercept_width_includes_bias(self, problem):
+        design, labels = problem
+        opts = FitOptions(intercept=True)
+        with pytest.raises(DimensionMismatch):
+            fit_logistic(design, labels, opts, start=np.zeros(3))
+        fit = fit_logistic(design, labels, opts, start=[0.0, 0.0, 0.0, 0.5])
+        assert fit.converged
+        assert fit.weights.shape == (4,)
+        assert abs(fit.loss - fit_logistic(design, labels, opts).loss) <= 1e-12
 
 
 class TestPredictLogits:

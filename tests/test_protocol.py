@@ -165,6 +165,22 @@ class TestRunProtocol:
         assert trace.sink_id == 3
         assert set(trace.losses) == {1, 2, 3}
 
+    def test_diamond_dag_multi_parent_agent(self):
+        # 1 -> 2, 1 -> 3, 2 -> 4, 3 -> 4: agent 4 fits on its own feature
+        # plus two parent columns.
+        ds = generate_hard_instance(HardInstanceSpec(k=4, n=20_000, seed=17))
+        g = build_agent_graph([(1, 2), (1, 3), (2, 4), (3, 4)], [{1}, {2}, {3}, {4}], d=4)
+        trace = run_protocol(ds, g)
+        assert trace.all_converged
+        for agent in g.topo_order:
+            model = trace.models[agent]
+            design = agent_design(ds, g, agent, trace)
+            moments = residual_moments(design, trace.logits[agent], ds.labels)
+            assert np.max(np.abs(moments)) <= 1e-9
+            assert np.array_equal(trace.logits[agent], design @ np.concatenate([model.w, model.v]))
+        assert trace.models[4].v.shape == (2,)
+        assert trace.losses[4] <= min(trace.losses[2], trace.losses[3]) + 1e-12
+
 
 class TestSinkExcessLoss:
     def test_single_all_features_agent_has_zero_excess(self):
