@@ -50,8 +50,7 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
 
     config = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
-        if args.seed < 0:
-            raise NiaError("--seed must be non-negative")
+        # InstanceConfig rejects a negative seed inside replace.
         config = dataclasses.replace(
             config, instance=dataclasses.replace(config.instance, seeds=(args.seed,))
         )

@@ -1,20 +1,27 @@
-"""Experiment configuration: strict JSON parsing with typo-safe key checks."""
+"""Experiment configuration: strict JSON parsing with typo-safe key checks.
+
+Each section is a frozen dataclass whose fields are its JSON keys and whose
+field defaults are the only defaults. ``parse_config`` reads the field names
+and types, so adding a field adds its key; range and existence checks live in
+each section's ``__post_init__`` and hold for programmatic construction and
+``dataclasses.replace`` as well as for parsed files.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .errors import InvalidConfig
 from .logistic import FitOptions
 
-
-def _require_keys(section: str, obj: dict, allowed: set[str]) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise InvalidConfig(f"unknown key(s) in {section}: {sorted(unknown)}")
+# String keys that name files; relative values resolve against the config's
+# directory.
+_PATH_KEYS = frozenset({"dataset", "file", "out_dir"})
 
 
 @dataclass(frozen=True)
@@ -25,37 +32,25 @@ class InstanceConfig:
     seeds: tuple[int, ...] = (1,)
     dataset: str | None = None
 
-    @staticmethod
-    def from_dict(obj: dict, base_dir: str) -> "InstanceConfig":
-        _require_keys("instance", obj, {"kind", "k", "n", "seeds", "dataset"})
-        kind = obj.get("kind", "hard")
-        if kind not in ("hard", "file"):
-            raise InvalidConfig(f"instance.kind must be 'hard' or 'file', got {kind!r}")
-        seeds = tuple(int(s) for s in obj.get("seeds", [1]))
-        if not seeds:
+    def __post_init__(self) -> None:
+        if self.kind not in ("hard", "file"):
+            raise InvalidConfig(f"instance.kind must be 'hard' or 'file', got {self.kind!r}")
+        if not self.seeds:
             raise InvalidConfig("instance.seeds must be non-empty")
-        if len(set(seeds)) != len(seeds):
+        if len(set(self.seeds)) != len(self.seeds):
             raise InvalidConfig("instance.seeds must be distinct")
-        if any(s < 0 for s in seeds):
+        if any(s < 0 for s in self.seeds):
             raise InvalidConfig("instance.seeds must be non-negative")
-        cfg = InstanceConfig(
-            kind=kind,
-            k=int(obj.get("k", 4)),
-            n=int(obj.get("n", 100_000)),
-            seeds=seeds,
-            dataset=_resolve(obj.get("dataset"), base_dir),
-        )
-        if kind == "hard":
-            if cfg.k < 2:
-                raise InvalidConfig(f"instance.k must be >= 2, got {cfg.k}")
-            if cfg.n < 1:
-                raise InvalidConfig(f"instance.n must be >= 1, got {cfg.n}")
-        if kind == "file":
-            if cfg.dataset is None:
+        if self.kind == "hard":
+            if self.k < 2:
+                raise InvalidConfig(f"instance.k must be >= 2, got {self.k}")
+            if self.n < 1:
+                raise InvalidConfig(f"instance.n must be >= 1, got {self.n}")
+        else:
+            if self.dataset is None:
                 raise InvalidConfig("instance.kind='file' requires instance.dataset")
-            if not os.path.exists(cfg.dataset):
-                raise InvalidConfig(f"dataset file not found: {cfg.dataset}")
-        return cfg
+            if not os.path.exists(self.dataset):
+                raise InvalidConfig(f"dataset file not found: {self.dataset}")
 
 
 @dataclass(frozen=True)
@@ -64,57 +59,13 @@ class GraphConfig:
     file: str | None = None
     m: int | None = None
 
-    @staticmethod
-    def from_dict(obj: dict, base_dir: str) -> "GraphConfig":
-        _require_keys("graph", obj, {"cyclic_depth", "file", "m"})
-        cfg = GraphConfig(
-            cyclic_depth=(int(obj["cyclic_depth"]) if "cyclic_depth" in obj else None),
-            file=_resolve(obj.get("file"), base_dir),
-            m=(int(obj["m"]) if "m" in obj else None),
-        )
-        if (cfg.cyclic_depth is None) == (cfg.file is None):
+    def __post_init__(self) -> None:
+        if (self.cyclic_depth is None) == (self.file is None):
             raise InvalidConfig("graph needs exactly one of 'cyclic_depth' or 'file'")
-        if cfg.cyclic_depth is not None and cfg.cyclic_depth < 1:
+        if self.cyclic_depth is not None and self.cyclic_depth < 1:
             raise InvalidConfig("graph.cyclic_depth must be >= 1")
-        if cfg.file is not None and not os.path.exists(cfg.file):
-            raise InvalidConfig(f"graph file not found: {cfg.file}")
-        return cfg
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    grad_tol: float = 1e-10
-    max_iters: int = 100
-    ridge: float = 0.0
-    backtrack: float = 0.5
-    init_step: float = 1.0
-
-    @staticmethod
-    def from_dict(obj: dict) -> "SolverConfig":
-        _require_keys(
-            "solver", obj, {"grad_tol", "max_iters", "ridge", "backtrack", "init_step"}
-        )
-        try:
-            cfg = SolverConfig(
-                grad_tol=float(obj.get("grad_tol", 1e-10)),
-                max_iters=int(obj.get("max_iters", 100)),
-                ridge=float(obj.get("ridge", 0.0)),
-                backtrack=float(obj.get("backtrack", 0.5)),
-                init_step=float(obj.get("init_step", 1.0)),
-            )
-            cfg.to_fit_options()
-        except ValueError as exc:
-            raise InvalidConfig(f"invalid solver options: {exc}") from exc
-        return cfg
-
-    def to_fit_options(self) -> FitOptions:
-        return FitOptions(
-            grad_tol=self.grad_tol,
-            max_iters=self.max_iters,
-            ridge=self.ridge,
-            backtrack=self.backtrack,
-            init_step=self.init_step,
-        )
+        if self.file is not None and not os.path.exists(self.file):
+            raise InvalidConfig(f"graph file not found: {self.file}")
 
 
 @dataclass(frozen=True)
@@ -123,19 +74,11 @@ class ScanConfig:
     passes: tuple[int, ...] = ()
     windows: tuple[int, ...] = ()
 
-    @staticmethod
-    def from_dict(obj: dict) -> "ScanConfig":
-        _require_keys("scan", obj, {"depths", "passes", "windows"})
-        cfg = ScanConfig(
-            depths=tuple(int(x) for x in obj.get("depths", [])),
-            passes=tuple(int(x) for x in obj.get("passes", [])),
-            windows=tuple(int(x) for x in obj.get("windows", [])),
-        )
-        if not cfg.depths and not cfg.passes:
+    def __post_init__(self) -> None:
+        if not self.depths and not self.passes:
             raise InvalidConfig("scan needs a non-empty 'depths' or 'passes' grid")
-        if any(x < 1 for x in cfg.depths + cfg.passes + cfg.windows):
+        if any(x < 1 for x in self.depths + self.passes + self.windows):
             raise InvalidConfig("scan grid values must be >= 1")
-        return cfg
 
 
 @dataclass(frozen=True)
@@ -154,50 +97,24 @@ class VerifyConfig:
     noise_samples: int = 1_000_000
     noise_scale: float = 0.8
 
-    @staticmethod
-    def from_dict(obj: dict) -> "VerifyConfig":
-        allowed = {
-            "seed",
-            "k",
-            "depth",
-            "n_protocol",
-            "n_decomposition",
-            "decomposition_grad_tol",
-            "decomposition_perturbations",
-            "pinsker_trials",
-            "noise_samples",
-            "noise_scale",
-        }
-        _require_keys("verify", obj, allowed)
-        defaults = VerifyConfig()
-        return VerifyConfig(
-            seed=int(obj.get("seed", defaults.seed)),
-            k=int(obj.get("k", defaults.k)),
-            depth=int(obj.get("depth", defaults.depth)),
-            n_protocol=int(obj.get("n_protocol", defaults.n_protocol)),
-            n_decomposition=int(obj.get("n_decomposition", defaults.n_decomposition)),
-            decomposition_grad_tol=float(
-                obj.get("decomposition_grad_tol", defaults.decomposition_grad_tol)
-            ),
-            decomposition_perturbations=int(
-                obj.get("decomposition_perturbations", defaults.decomposition_perturbations)
-            ),
-            pinsker_trials=int(obj.get("pinsker_trials", defaults.pinsker_trials)),
-            noise_samples=int(obj.get("noise_samples", defaults.noise_samples)),
-            noise_scale=float(obj.get("noise_scale", defaults.noise_scale)),
-        )
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A whole experiment; the ``solver`` section is the protocol's
+    ``FitOptions``."""
+
     instance: InstanceConfig = field(default_factory=InstanceConfig)
     graph: GraphConfig | None = None
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    solver: FitOptions = field(default_factory=FitOptions)
     scan: ScanConfig | None = None
     verify: VerifyConfig = field(default_factory=VerifyConfig)
     out_dir: str = "out"
     threads: int = 1
     dump_logits: bool = False
+
+    def __post_init__(self) -> None:
+        if self.threads < 1:
+            raise InvalidConfig("threads must be >= 1")
 
     def config_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -205,31 +122,70 @@ class ExperimentConfig:
 
 
 def _resolve(path: str | None, base_dir: str) -> str | None:
-    if path is None:
-        return None
-    if os.path.isabs(path):
+    if path is None or os.path.isabs(path):
         return path
     return os.path.normpath(os.path.join(base_dir, path))
 
 
-def parse_config(obj: dict, base_dir: str = ".") -> ExperimentConfig:
+def _value(tp, value, where: str, base_dir: str):
+    """``value`` converted to the field type ``tp``; raises TypeError,
+    ValueError or OverflowError on a value of the wrong shape."""
+    if typing.get_origin(tp) is types.UnionType:  # an optional field: X | None
+        if value is None:
+            return None
+        (tp,) = (arg for arg in typing.get_args(tp) if arg is not type(None))
+    if is_dataclass(tp):
+        return _section(tp, value, where, base_dir)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a JSON list, got {value!r}")
+        item = typing.get_args(tp)[0]
+        return tuple(item(x) for x in value)
+    if tp is bool or tp is str:
+        # No coercion: bool("false") is True, and str(None) is a path.
+        if not isinstance(value, tp):
+            raise TypeError(f"expected a JSON {tp.__name__}, got {value!r}")
+        return value
+    return tp(value)
+
+
+def _section(cls, obj, where: str, base_dir: str):
+    """Build dataclass ``cls`` from the JSON object ``obj``; absent keys take
+    the field defaults."""
     if not isinstance(obj, dict):
-        raise InvalidConfig("configuration root must be a JSON object")
-    allowed = {"instance", "graph", "solver", "scan", "verify", "out_dir", "threads", "dump_logits"}
-    _require_keys("config", obj, allowed)
-    threads = int(obj.get("threads", 1))
-    if threads < 1:
-        raise InvalidConfig("threads must be >= 1")
-    return ExperimentConfig(
-        instance=InstanceConfig.from_dict(obj.get("instance", {}), base_dir),
-        graph=(GraphConfig.from_dict(obj["graph"], base_dir) if "graph" in obj else None),
-        solver=SolverConfig.from_dict(obj.get("solver", {})),
-        scan=(ScanConfig.from_dict(obj["scan"]) if "scan" in obj else None),
-        verify=VerifyConfig.from_dict(obj.get("verify", {})),
-        out_dir=_resolve(obj.get("out_dir", "out"), base_dir),
-        threads=threads,
-        dump_logits=bool(obj.get("dump_logits", False)),
-    )
+        raise InvalidConfig(f"{where} must be a JSON object, got {obj!r}")
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise InvalidConfig(f"unknown key(s) in {where}: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        key = f.name if where == "config" else f"{where}.{f.name}"
+        if f.name in obj:
+            try:
+                kwargs[f.name] = _value(hints[f.name], obj[f.name], key, base_dir)
+            except InvalidConfig:
+                raise
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidConfig(f"invalid {key}: {exc}") from exc
+        elif f.name in _PATH_KEYS:
+            kwargs[f.name] = f.default  # a default path is relative to the config too
+        if f.name in _PATH_KEYS:
+            kwargs[f.name] = _resolve(kwargs[f.name], base_dir)
+    try:
+        return cls(**kwargs)
+    except InvalidConfig:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"invalid {where}: {exc}") from exc
+
+
+def parse_config(obj: dict, base_dir: str = ".") -> ExperimentConfig:
+    """Strictly parse a configuration object: unknown keys, values of the
+    wrong type and out-of-range values all raise ``InvalidConfig``.
+    Relative ``dataset``, ``file`` and ``out_dir`` paths resolve against
+    ``base_dir``."""
+    return _section(ExperimentConfig, obj, "config", base_dir)
 
 
 def load_config(path: str) -> ExperimentConfig:

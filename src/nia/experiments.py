@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
@@ -21,7 +21,7 @@ from .instances import (
     optimal_scaling_factor,
     scaling_gradient,
 )
-from .io import read_dataset_file, read_graph_file
+from .io import SCAN_FIELDS, read_dataset_file, read_graph_file
 from .logistic import FitOptions, FitResult, fit_logistic, residual_moments
 from .metrics import (
     bernoulli_kl_pointwise,
@@ -36,10 +36,6 @@ C_RANGE_PASSES = (1, 2, 4, 8, 16, 64)
 COEFFICIENT_PASSES = (2, 3, 4, 5, 6)
 COEFFICIENT_SCALES = (0.3, 0.7, 1.0)
 NOISE_VARIANCE_PAIRS = ((0.0, 0.5), (0.5, 1.0), (1.0, 2.0))
-
-
-def hard_dataset(k: int, n: int, seed: int) -> Dataset:
-    return generate_hard_instance(HardInstanceSpec(k=k, n=n, seed=seed))
 
 
 def global_logistic_fit(dataset: Dataset, opts: FitOptions) -> FitResult:
@@ -65,7 +61,7 @@ def resolve_dataset(config: ExperimentConfig, seed: int | None = None) -> tuple[
     if inst.kind == "file":
         return read_dataset_file(inst.dataset), None
     use_seed = seed if seed is not None else inst.seeds[0]
-    return hard_dataset(inst.k, inst.n, use_seed), use_seed
+    return generate_hard_instance(HardInstanceSpec(k=inst.k, n=inst.n, seed=use_seed)), use_seed
 
 
 @dataclass(frozen=True)
@@ -86,9 +82,8 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
     """
     dataset, seed = resolve_dataset(config)
     graph, d, window = resolve_graph(config)
-    opts = config.solver.to_fit_options()
-    trace = run_protocol(dataset, graph, opts)
-    gfit = global_logistic_fit(dataset, opts)
+    trace = run_protocol(dataset, graph, config.solver)
+    gfit = global_logistic_fit(dataset, config.solver)
     excess = sink_excess_loss(trace, dataset, gfit)
     sink = trace.sink_id
 
@@ -167,7 +162,7 @@ def _scan_seed_rows(
         "error": None,
     }
     try:
-        dataset = hard_dataset(k, n, seed)
+        dataset = generate_hard_instance(HardInstanceSpec(k=k, n=n, seed=seed))
         gfit = global_logistic_fit(dataset, opts)
         max_depth = max(depth for depth, _ in grid)
         trace = run_protocol(dataset, cyclic_path_assignment(k, max_depth), opts)
@@ -192,18 +187,9 @@ def _scan_seed_rows(
             )
         return rows
     except Exception as exc:  # recorded per point, the scan itself continues
+        error = f"{type(exc).__name__}: {exc}"
         return [
-            base | {
-                "D": depth,
-                "M": m,
-                "p": depth / k,
-                "sink_loss": None,
-                "global_loss": None,
-                "excess": None,
-                "upper_bound": None,
-                "lower_shape": None,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
+            dict.fromkeys(SCAN_FIELDS) | base | {"D": depth, "M": m, "p": depth / k, "error": error}
             for depth, m in grid
         ]
 
@@ -215,7 +201,6 @@ def scan_experiment(config: ExperimentConfig, threads: int | None = None) -> lis
         raise InvalidConfig("scan currently supports the generated instance only")
     grid = _scan_grid(config)
     k, n = config.instance.k, config.instance.n
-    opts = config.solver.to_fit_options()
     chash = config.config_hash()
     workers = threads if threads is not None else config.threads
     seeds = config.instance.seeds
@@ -225,11 +210,11 @@ def scan_experiment(config: ExperimentConfig, threads: int | None = None) -> lis
             per_seed = list(
                 pool.map(
                     _scan_seed_rows,
-                    repeat(k), repeat(n), seeds, repeat(grid), repeat(opts), repeat(chash),
+                    repeat(k), repeat(n), seeds, repeat(grid), repeat(config.solver), repeat(chash),
                 )
             )
     else:
-        per_seed = [_scan_seed_rows(k, n, seed, grid, opts, chash) for seed in seeds]
+        per_seed = [_scan_seed_rows(k, n, seed, grid, config.solver, chash) for seed in seeds]
 
     rows = [row for rows_ in per_seed for row in rows_]
     rows.sort(key=lambda r: (r["D"], r["M"], r["seed"]))
@@ -252,9 +237,9 @@ def _suite(passed: bool, margin: float, threshold: float, **details) -> dict:
 
 def _protocol_run_for_verify(config: ExperimentConfig) -> tuple[Dataset, AgentGraph, ProtocolTrace]:
     vc = config.verify
-    dataset = hard_dataset(vc.k, vc.n_protocol, vc.seed)
+    dataset = generate_hard_instance(HardInstanceSpec(k=vc.k, n=vc.n_protocol, seed=vc.seed))
     graph = cyclic_path_assignment(vc.k, vc.depth)
-    trace = run_protocol(dataset, graph, config.solver.to_fit_options())
+    trace = run_protocol(dataset, graph, config.solver)
     return dataset, graph, trace
 
 
@@ -296,16 +281,8 @@ def decomposition_suite(config: ExperimentConfig, threshold: float = 1e-8) -> di
     """Loss-decomposition identity around the global fit for perturbed
     comparators; the residual scales with the achieved gradient norm."""
     vc = config.verify
-    dataset = hard_dataset(vc.k, vc.n_decomposition, vc.seed)
-    sc = config.solver
-    opts = FitOptions(
-        grad_tol=vc.decomposition_grad_tol,
-        max_iters=sc.max_iters,
-        ridge=sc.ridge,
-        backtrack=sc.backtrack,
-        init_step=sc.init_step,
-    )
-    gfit = global_logistic_fit(dataset, opts)
+    dataset = generate_hard_instance(HardInstanceSpec(k=vc.k, n=vc.n_decomposition, seed=vc.seed))
+    gfit = global_logistic_fit(dataset, replace(config.solver, grad_tol=vc.decomposition_grad_tol))
     star_logits = dataset.features @ gfit.weights
     rng = np.random.Generator(np.random.Philox(key=vc.seed))
     worst = 0.0

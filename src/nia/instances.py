@@ -11,6 +11,7 @@ shape these imply.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
@@ -166,9 +167,19 @@ def numeric_pass_coefficients(p: int, c: float) -> tuple[float, float]:
     return float(np.sum(best.x)), float(best.fun)
 
 
+@lru_cache(maxsize=8)
+def _hermite_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights, built once per node count; read-only
+    because every caller shares them."""
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
 def gauss_hermite_expectation(f, sd: float = 1.0, nodes: int = DEFAULT_QUADRATURE_NODES) -> float:
     """E[f(X)] for X ~ N(0, sd^2) by Gauss-Hermite quadrature."""
-    t, w = np.polynomial.hermite.hermgauss(nodes)
+    t, w = _hermite_nodes(nodes)
     return float(np.sum(w * f(np.sqrt(2.0) * sd * t)) / np.sqrt(np.pi))
 
 

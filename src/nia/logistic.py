@@ -85,8 +85,12 @@ class FitOptions:
 
     ``ridge`` adds 0.5 * ridge * ||theta||^2 to the objective; identity
     suites must keep it at 0 because exact residual orthogonality needs the
-    unregularized stationarity condition. ``intercept`` appends an implicit
-    all-ones column; the bias is then the last entry of the fitted weights.
+    unregularized stationarity condition. There is no bias term: the
+    protocol's predictors are linear in their design columns, and a caller
+    that wants a bias appends an all-ones column to the design.
+
+    These fields are also the ``solver`` section of an experiment config,
+    so their defaults here are the config defaults.
     """
 
     grad_tol: float = 1e-10
@@ -94,14 +98,13 @@ class FitOptions:
     ridge: float = 0.0
     backtrack: float = 0.5
     init_step: float = 1.0
-    intercept: bool = False
 
     def __post_init__(self) -> None:
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.ridge < 0:
+        if not self.ridge >= 0:
             raise ValueError("ridge must be >= 0")
         if not 0 < self.backtrack < 1:
             raise ValueError("backtrack factor must be in (0, 1)")
@@ -160,8 +163,9 @@ def fit_logistic(
 ) -> FitResult:
     """Minimize empirical BCE over linear logits on the design columns.
 
-    Damped Newton from ``start`` (default the zero vector; with
-    ``opts.intercept`` its last entry is the bias): solve H step = -grad,
+    The logits are ``design @ weights`` with no bias term; append an
+    all-ones column to the design to fit one. Damped Newton from ``start``
+    (default the zero vector, one entry per column): solve H step = -grad,
     backtrack until the Armijo condition holds (with a rounding-slack term so
     steps near machine precision are not rejected), stop when the gradient
     sup-norm reaches ``grad_tol``. A ``start`` that is already optimal returns
@@ -188,8 +192,6 @@ def fit_logistic(
     if not np.isfinite(x).all() or not np.isfinite(y).all():
         raise NonFinite("design or labels contain non-finite values")
 
-    if opts.intercept:
-        x = np.column_stack([x, np.ones(x.shape[0])])
     n, m = x.shape
     if start is None:
         theta = np.zeros(m)

@@ -75,6 +75,12 @@ class TestGenerate:
         assert main(["generate", "--config", str(cfg)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_negative_seed_flag_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--seed", "-1"]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRun:
     def test_trace_and_report(self, tmp_path, capsys):

@@ -19,7 +19,7 @@ from nia import (
     sigmoid,
     sigmoid_moment,
 )
-from nia.instances import numeric_pass_coefficients
+from nia.instances import _hermite_nodes, gauss_hermite_expectation, numeric_pass_coefficients
 
 
 class TestGenerator:
@@ -162,6 +162,20 @@ class TestOptimalScalingFactor:
         for u in (0.5, 1.0, 2.0):
             oracle = _quad_expectation(lambda x: x * sigmoid(x), u)
             assert sigmoid_moment(u) == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("nodes", [20, 200])
+    def test_cached_nodes_match_fresh_sum_and_are_read_only(self, nodes):
+        def f(x):
+            return x * sigmoid(0.7 * x)
+
+        t, w = np.polynomial.hermite.hermgauss(nodes)
+        fresh = float(np.sum(w * f(np.sqrt(2.0) * 1.3 * t)) / np.sqrt(np.pi))
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            assert gauss_hermite_expectation(f, sd=1.3, nodes=nodes) == fresh
+        cached_t, cached_w = _hermite_nodes(nodes)
+        assert not cached_t.flags.writeable and not cached_w.flags.writeable
+        with pytest.raises(ValueError):
+            cached_w[0] = 0.0
 
 
 class TestNoiseMonotonicity:

@@ -1,6 +1,7 @@
 """File formats and configuration validation."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,15 @@ from nia import (
     generate_hard_instance,
     run_protocol,
 )
-from nia.config import load_config, parse_config
+from nia.cli import main
+from nia.config import (
+    ExperimentConfig,
+    GraphConfig,
+    InstanceConfig,
+    ScanConfig,
+    load_config,
+    parse_config,
+)
 from nia.io import (
     SCAN_FIELDS,
     TRACE_FIELDS,
@@ -211,3 +220,63 @@ class TestConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidConfig):
             parse_config({"instance": {"seeds": [-1]}})
+
+    @pytest.mark.parametrize(
+        "obj, key",
+        [
+            ({"instance": {"k": "abc"}}, "instance.k"),
+            ({"instance": {"seeds": 5}}, "instance.seeds"),
+            ({"instance": 5}, "instance"),
+            ({"scan": {"depths": 8}}, "scan.depths"),
+            ({"graph": {"cyclic_depth": "x"}}, "graph.cyclic_depth"),
+            ({"verify": {"k": "x"}}, "verify.k"),
+            ({"threads": "two"}, "threads"),
+            ({"solver": {"max_iters": 0}}, "solver"),
+            ({"solver": {"ridge": "nan"}}, "solver"),
+        ],
+    )
+    def test_malformed_value_is_invalid_config(self, tmp_path, capsys, obj, key):
+        with pytest.raises(InvalidConfig, match=key):
+            parse_config(obj)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(obj))
+        assert main(["verify", "--config", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_dump_logits_takes_json_booleans_only(self, flag):
+        with pytest.raises(InvalidConfig, match="dump_logits"):
+            parse_config({"dump_logits": flag})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {},
+            {"solver": {"grad_tol": 1e-10, "max_iters": 100, "ridge": 0, "backtrack": 0.5,
+                        "init_step": 1}},
+            {"instance": {"kind": "hard", "k": 4, "n": 100000, "seeds": [1]},
+             "threads": 1, "dump_logits": False},
+        ],
+    )
+    def test_default_config_hash_pinned(self, obj):
+        # Written defaults hash like absent ones; a change to the hash breaks
+        # the comparison of reports with earlier runs.
+        assert parse_config(obj).config_hash() == "6e06e0204a88"
+        assert ExperimentConfig().config_hash() == "6e06e0204a88"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: InstanceConfig(seeds=(1, 1)),
+            lambda: InstanceConfig(kind="file"),
+            lambda: GraphConfig(),
+            lambda: ScanConfig(depths=(0,)),
+            lambda: ExperimentConfig(threads=0),
+            lambda: replace(InstanceConfig(), seeds=(-1,)),
+        ],
+        ids=["duplicate_seeds", "file_without_dataset", "no_graph_source", "zero_depth",
+             "zero_threads", "replace_negative_seed"],
+    )
+    def test_programmatic_construction_is_checked(self, build):
+        with pytest.raises(InvalidConfig):
+            build()

@@ -251,11 +251,12 @@ class TestFitLogistic:
         assert fit.converged
 
     def test_intercept_flag(self):
+        # There is no intercept option: a bias is the weight of a ones column.
         rng = np.random.default_rng(21)
         n = 4000
         x = rng.normal(size=(n, 1))
         labels = (rng.random(n) < sigmoid(x[:, 0] + 0.7)).astype(float)
-        fit = fit_logistic(x, labels, FitOptions(intercept=True))
+        fit = fit_logistic(np.column_stack([x, np.ones(n)]), labels)
         assert fit.converged
         assert fit.weights.shape == (2,)
         assert fit.weights[-1] == pytest.approx(0.7, abs=0.15)
@@ -315,16 +316,6 @@ class TestWarmStart:
         design, labels = problem
         with pytest.raises(NonFinite):
             fit_logistic(design, labels, start=[0.0, np.inf, 0.0])
-
-    def test_intercept_width_includes_bias(self, problem):
-        design, labels = problem
-        opts = FitOptions(intercept=True)
-        with pytest.raises(DimensionMismatch):
-            fit_logistic(design, labels, opts, start=np.zeros(3))
-        fit = fit_logistic(design, labels, opts, start=[0.0, 0.0, 0.0, 0.5])
-        assert fit.converged
-        assert fit.weights.shape == (4,)
-        assert abs(fit.loss - fit_logistic(design, labels, opts).loss) <= 1e-12
 
 
 class TestPredictLogits:
