@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--threads",
             type=int,
-            help="parallel replicates (falls back to NIA_THREADS, then config)",
+            help="parallel replicates (overrides config)",
         )
     return parser
 
@@ -62,12 +62,6 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
 def _threads(args: argparse.Namespace, config: ExperimentConfig) -> int:
     if args.threads is not None:
         return max(1, args.threads)
-    env = os.environ.get("NIA_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise NiaError(f"NIA_THREADS is not an integer: {env!r}") from exc
     return config.threads
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import types
 import typing
@@ -97,6 +98,17 @@ class VerifyConfig:
     noise_samples: int = 1_000_000
     noise_scale: float = 0.8
 
+    def __post_init__(self) -> None:
+        minimums = {"seed": 0, "k": 2, "depth": 1, "n_protocol": 1, "n_decomposition": 1,
+                    "decomposition_perturbations": 1, "pinsker_trials": 1, "noise_samples": 2}
+        for key, low in minimums.items():
+            if getattr(self, key) < low:
+                raise InvalidConfig(f"verify.{key} must be >= {low}, got {getattr(self, key)}")
+        if not self.decomposition_grad_tol > 0:
+            raise InvalidConfig("verify.decomposition_grad_tol must be > 0")
+        if not math.isfinite(self.noise_scale):
+            raise InvalidConfig(f"verify.noise_scale must be finite, got {self.noise_scale}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -140,12 +152,14 @@ def _value(tp, value, where: str, base_dir: str):
         if not isinstance(value, list):
             raise TypeError(f"expected a JSON list, got {value!r}")
         item = typing.get_args(tp)[0]
-        return tuple(item(x) for x in value)
+        return tuple(_value(item, x, where, base_dir) for x in value)
     if tp is bool or tp is str:
         # No coercion: bool("false") is True, and str(None) is a path.
         if not isinstance(value, tp):
             raise TypeError(f"expected a JSON {tp.__name__}, got {value!r}")
         return value
+    if tp is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
     return tp(value)
 
 

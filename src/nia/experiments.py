@@ -26,6 +26,7 @@ from .logistic import FitOptions, FitResult, fit_logistic, residual_moments
 from .metrics import (
     bernoulli_kl_pointwise,
     build_theory_report,
+    convergence_bound_rhs,
     feature_second_moment_bound,
     stable_block,
     verify_decomposition,
@@ -181,7 +182,7 @@ def _scan_seed_rows(
                     "sink_loss": sink_loss,
                     "global_loss": gfit.loss,
                     "excess": sink_loss - gfit.loss,
-                    "upper_bound": float(gfit.l1_norm * b_x * m / np.sqrt(depth)),
+                    "upper_bound": convergence_bound_rhs(gfit.l1_norm, b_x, m, depth),
                     "lower_shape": 1.0 / (p + 1.0),
                 }
             )

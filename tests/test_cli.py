@@ -227,17 +227,6 @@ class TestScan:
         strip = lambda text: [line.split(",", 1)[1] for line in text.splitlines()[1:]]
         assert strip(serial) == strip(parallel)
 
-    def test_env_threads_fallback(self, tmp_path, monkeypatch):
-        cfg = _write_config(
-            tmp_path,
-            {"instance": {"kind": "hard", "k": 2, "n": 400, "seeds": [1, 2]},
-             "scan": {"depths": [2]},
-             "out_dir": "out"},
-        )
-        monkeypatch.setenv("NIA_THREADS", "2")
-        assert main(["scan", "--config", cfg]) == 0
-        assert (tmp_path / "out" / "scan.csv").exists()
-
     def test_window_exceeding_depth_rejected(self, tmp_path, capsys):
         cfg = _write_config(
             tmp_path,

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import nia.instances
 from nia import (
     HardInstanceSpec,
     InvalidDimension,
+    QuadratureFailure,
     generate_hard_instance,
     noise_monotonicity_check,
     optimal_pass_coefficients,
@@ -112,6 +114,15 @@ class TestOptimalPassCoefficients:
                 assert abs(var_num - pp.residual_variance) <= 1e-9
                 assert pp.noise_variance_scaled == pytest.approx(1.0, rel=1e-12)
 
+    def test_numeric_check_single_pass_has_no_differences(self):
+        assert numeric_pass_coefficients(1, 0.7) == (0.0, 0.7 * 0.7)
+
+    def test_numeric_check_matches_closed_form_at_64_passes(self):
+        for c in (0.3, 0.7, 1.0):
+            s_num, var_num = numeric_pass_coefficients(64, c)
+            assert abs(s_num - (-c * 63 / 64)) <= 1e-9
+            assert abs(var_num - optimal_pass_coefficients(64, c).residual_variance) <= 1e-9
+
     def test_coefficient_length_matches_pass(self):
         for p in (1, 2, 5):
             assert optimal_pass_coefficients(p, 0.5).coefficients.shape == (p,)
@@ -152,6 +163,23 @@ class TestOptimalScalingFactor:
         for p in (1, 2, 4, 8, 16, 64):
             c = optimal_scaling_factor(p)
             assert abs(scaling_gradient(c, p)) <= 1e-10
+
+    def test_bracket_without_sign_change_raises(self, monkeypatch):
+        monkeypatch.setattr(nia.instances, "scaling_gradient", lambda c, p, nodes: 1.0 + c)
+        with pytest.raises(QuadratureFailure, match="bracket"):
+            optimal_scaling_factor(2)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 8, 16, 64])
+    def test_root_takes_few_gradient_evaluations(self, monkeypatch, p):
+        calls = []
+
+        def counted(c, p, nodes):
+            calls.append(c)
+            return scaling_gradient(c, p, nodes)
+
+        monkeypatch.setattr(nia.instances, "scaling_gradient", counted)
+        optimal_scaling_factor(p)
+        assert len(calls) <= 15
 
     def test_sigmoid_moment_increasing(self):
         grid = [0.5, 1.0, 1.5, 2.0, 3.0]
@@ -200,6 +228,11 @@ class TestNoiseMonotonicity:
     def test_invalid_variances_rejected(self):
         with pytest.raises(InvalidDimension):
             noise_monotonicity_check(1.0, 1.0, 0.5, 100, seed=0)
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, c):
+        with pytest.raises(InvalidDimension, match="finite"):
+            noise_monotonicity_check(c, 0.5, 1.0, 100, seed=0)
 
 
 class TestPredictedExcessCurve:

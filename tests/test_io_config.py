@@ -20,6 +20,7 @@ from nia.config import (
     GraphConfig,
     InstanceConfig,
     ScanConfig,
+    VerifyConfig,
     load_config,
     parse_config,
 )
@@ -233,6 +234,12 @@ class TestConfig:
             ({"threads": "two"}, "threads"),
             ({"solver": {"max_iters": 0}}, "solver"),
             ({"solver": {"ridge": "nan"}}, "solver"),
+            ({"instance": {"k": 4.7}}, "instance.k"),
+            ({"instance": {"seeds": [1.5]}}, "instance.seeds"),
+            ({"scan": {"depths": [8.9]}}, "scan.depths"),
+            ({"verify": {"noise_scale": "nan"}}, "verify.noise_scale"),
+            ({"verify": {"decomposition_perturbations": 0}}, "verify.decomposition_perturbations"),
+            ({"verify": {"decomposition_grad_tol": 0}}, "verify.decomposition_grad_tol"),
         ],
     )
     def test_malformed_value_is_invalid_config(self, tmp_path, capsys, obj, key):
@@ -256,6 +263,7 @@ class TestConfig:
                         "init_step": 1}},
             {"instance": {"kind": "hard", "k": 4, "n": 100000, "seeds": [1]},
              "threads": 1, "dump_logits": False},
+            {"instance": {"k": 4.0}},
         ],
     )
     def test_default_config_hash_pinned(self, obj):
@@ -273,9 +281,10 @@ class TestConfig:
             lambda: ScanConfig(depths=(0,)),
             lambda: ExperimentConfig(threads=0),
             lambda: replace(InstanceConfig(), seeds=(-1,)),
+            lambda: replace(VerifyConfig(), noise_samples=1),
         ],
         ids=["duplicate_seeds", "file_without_dataset", "no_graph_source", "zero_depth",
-             "zero_threads", "replace_negative_seed"],
+             "zero_threads", "replace_negative_seed", "replace_single_noise_sample"],
     )
     def test_programmatic_construction_is_checked(self, build):
         with pytest.raises(InvalidConfig):
