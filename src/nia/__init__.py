@@ -49,7 +49,6 @@ from .logistic import (
     FitResult,
     bce_loss,
     fit_logistic,
-    predict_logits,
     residual_moments,
     sigmoid,
     stable_softplus,
@@ -57,14 +56,11 @@ from .logistic import (
 from .metrics import (
     StableBlock,
     TheoryReport,
-    bernoulli_kl,
     bernoulli_kl_pointwise,
     build_theory_report,
     convergence_bound_rhs,
-    expected_kl,
     expected_kl_from_logits,
     feature_second_moment_bound,
-    pinsker_gap,
     residual_bound_rhs,
     stable_block,
     verify_decomposition,
@@ -107,14 +103,12 @@ __all__ = [
     "TheoryReport",
     "agent_design",
     "bce_loss",
-    "bernoulli_kl",
     "bernoulli_kl_pointwise",
     "build_agent_graph",
     "build_theory_report",
     "check_m_coverage",
     "convergence_bound_rhs",
     "cyclic_path_assignment",
-    "expected_kl",
     "expected_kl_from_logits",
     "feature_second_moment_bound",
     "fit_logistic",
@@ -122,8 +116,6 @@ __all__ = [
     "noise_monotonicity_check",
     "optimal_pass_coefficients",
     "optimal_scaling_factor",
-    "pinsker_gap",
-    "predict_logits",
     "predicted_excess_curve",
     "relevance_set",
     "residual_bound_rhs",

@@ -7,7 +7,7 @@ import os
 import sys
 
 from .config import ExperimentConfig, load_config
-from .errors import NiaError
+from .errors import InvalidConfig, NiaError
 from .experiments import run_experiment, scan_experiment, verify_experiment
 from .instances import HardInstanceSpec, generate_hard_instance
 from .io import (
@@ -56,13 +56,10 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
         )
     if args.out is not None:
         config = dataclasses.replace(config, out_dir=args.out)
+    # --threads stays out of the config so that it does not change config_hash.
+    if args.threads is not None and args.threads < 1:
+        raise InvalidConfig(f"--threads must be >= 1, got {args.threads}")
     return config
-
-
-def _threads(args: argparse.Namespace, config: ExperimentConfig) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    return config.threads
 
 
 def _ensure_out(config: ExperimentConfig) -> str:
@@ -154,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(config)
         if args.command == "scan":
-            return cmd_scan(config, _threads(args, config))
+            return cmd_scan(config, config.threads if args.threads is None else args.threads)
         if args.command == "verify":
             return cmd_verify(config)
     except NiaError as exc:

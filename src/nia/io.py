@@ -50,12 +50,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+def atomic_write_bytes(path: str, *parts) -> None:
+    """Write the buffers ``parts`` one after another to ``path``, atomically;
+    each part is anything ``write`` accepts (bytes, a contiguous array)."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -180,7 +183,7 @@ def write_logit_dump(path: str, trace: ProtocolTrace) -> None:
     column-per-agent matrix row-major as little-endian float64."""
     matrix = np.ascontiguousarray(trace.logit_matrix(), dtype="<f8")
     n, depth = matrix.shape
-    atomic_write_bytes(path, struct.pack("<QQ", n, depth) + matrix.tobytes())
+    atomic_write_bytes(path, struct.pack("<QQ", n, depth), matrix)
 
 
 def read_logit_dump(path: str) -> np.ndarray:

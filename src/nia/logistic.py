@@ -129,15 +129,6 @@ class FitResult:
         object.__setattr__(self, "l1_norm", float(np.abs(w).sum()))
 
 
-def predict_logits(weights, design) -> np.ndarray:
-    """Row-wise inner products design @ weights."""
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    x = np.asarray(design, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise DimensionMismatch(f"design {x.shape} incompatible with {w.shape[0]} weights")
-    return x @ w
-
-
 def residual_moments(design, logits, labels) -> np.ndarray:
     """Per-column empirical mean of x_l * (sigmoid(z) - y).
 
@@ -165,14 +156,21 @@ def fit_logistic(
 
     The logits are ``design @ weights`` with no bias term; append an
     all-ones column to the design to fit one. Damped Newton from ``start``
-    (default the zero vector, one entry per column): solve H step = -grad,
-    backtrack until the Armijo condition holds (with a rounding-slack term so
-    steps near machine precision are not rejected), stop when the gradient
-    sup-norm reaches ``grad_tol``. A ``start`` that is already optimal returns
-    with zero iterations. A zero-column design converges immediately at the
-    log(2) baseline. Singular Hessians fall back to a least-squares step; if
-    no progress is possible the result is returned with converged=False and
-    a diagnostic message rather than raising.
+    (default the zero vector, one entry per column): take the minimum-norm
+    solution of H step = -grad, backtrack until the Armijo condition holds
+    (with a rounding-slack term so steps near machine precision are not
+    rejected), stop when the gradient sup-norm reaches ``grad_tol``. A
+    ``start`` that is already optimal returns with zero iterations. A
+    zero-column design converges immediately at the log(2) baseline.
+
+    Every step is the minimum-norm one because design columns can be
+    collinear: in a multi-parent DAG a parent's logit column can be an exact
+    linear combination of the agent's own features, which makes H singular.
+    The minimum-norm step gives the dependent directions no weight, so the
+    fit converges where an exact solve would return huge weights. A step that
+    does not descend (a zero Hessian from saturated logits) is replaced by
+    steepest descent; if no progress is possible the result is returned with
+    converged=False and a diagnostic message rather than raising.
 
     Each iterate costs one exponential over the rows: the line search keeps
     the accepted candidate's loss and exp(-|z|), from which the next
@@ -249,15 +247,13 @@ def fit_logistic(
 
         w = np.multiply(p, np.subtract(1.0, p, out=zc), out=zc)
         hess = np.array([xt @ np.multiply(row, w, out=ec) for row in xt]) / n + opts.ridge * eye
-        try:
-            step = np.linalg.solve(hess, -grad)
-            if not np.isfinite(step).all():
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        # Minimum-norm step: collinear columns leave the Hessian singular,
+        # and lstsq gives the dependent directions no weight.
+        step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
         slope = float(grad @ step)
         if slope >= 0:
-            # Fall back to steepest descent when the solve direction fails.
+            # Steepest descent when the Newton direction does not descend
+            # (a zero Hessian from saturated logits).
             step = -grad
             slope = -float(grad @ grad)
 

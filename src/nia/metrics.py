@@ -24,21 +24,12 @@ def _check_probability(name: str, value: np.ndarray) -> None:
         raise DomainError(f"{name} must lie in [0, 1]")
 
 
-def bernoulli_kl(p: float, q: float) -> float:
-    """KL divergence between Bernoulli(p) and Bernoulli(q).
-
-    Uses the 0 log 0 = 0 convention; returns +inf only when q is degenerate
-    and p places mass where q does not.
-    """
-    pa = np.float64(p)
-    qa = np.float64(q)
-    _check_probability("p", pa)
-    _check_probability("q", qa)
-    return float(rel_entr(pa, qa) + rel_entr(1.0 - pa, 1.0 - qa))
-
-
 def bernoulli_kl_pointwise(p_col, q_col) -> np.ndarray:
-    """Elementwise Bernoulli KL between two probability columns."""
+    """Elementwise Bernoulli KL between two probability columns.
+
+    Uses the 0 log 0 = 0 convention; an entry is +inf only where q is
+    degenerate and p places mass where q does not.
+    """
     p = np.asarray(p_col, dtype=np.float64).ravel()
     q = np.asarray(q_col, dtype=np.float64).ravel()
     if p.shape[0] != q.shape[0]:
@@ -48,11 +39,6 @@ def bernoulli_kl_pointwise(p_col, q_col) -> np.ndarray:
     _check_probability("p_col", p)
     _check_probability("q_col", q)
     return rel_entr(p, q) + rel_entr(1.0 - p, 1.0 - q)
-
-
-def expected_kl(p_col, q_col) -> float:
-    """Mean pointwise Bernoulli KL between two probability columns."""
-    return float(np.mean(bernoulli_kl_pointwise(p_col, q_col)))
 
 
 def expected_kl_from_logits(z_p, z_q) -> float:
@@ -66,18 +52,6 @@ def expected_kl_from_logits(z_p, z_q) -> float:
     if a.shape[0] != b.shape[0]:
         raise LengthMismatch(f"{a.shape[0]} vs {b.shape[0]} logits")
     return float(np.mean(sigmoid(a) * (a - b) - stable_softplus(a) + stable_softplus(b)))
-
-
-def pinsker_gap(p_col, q_col) -> float:
-    """expected_kl minus twice the mean squared probability difference.
-
-    Nonnegative up to rounding for all probability columns.
-    """
-    p = np.asarray(p_col, dtype=np.float64).ravel()
-    q = np.asarray(q_col, dtype=np.float64).ravel()
-    if p.shape[0] != q.shape[0]:
-        raise LengthMismatch(f"{p.shape[0]} vs {q.shape[0]} probabilities")
-    return expected_kl(p, q) - 2.0 * float(np.mean((p - q) ** 2))
 
 
 def verify_decomposition(

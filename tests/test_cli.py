@@ -227,6 +227,32 @@ class TestScan:
         strip = lambda text: [line.split(",", 1)[1] for line in text.splitlines()[1:]]
         assert strip(serial) == strip(parallel)
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_flag_below_one_exits_2(self, tmp_path, capsys, threads):
+        cfg = _write_config(
+            tmp_path,
+            {"instance": {"kind": "hard", "k": 2, "n": 200, "seeds": [1]},
+             "scan": {"depths": [2]},
+             "out_dir": "out"},
+        )
+        assert main(["scan", "--config", cfg, "--threads", threads]) == 2
+        assert "error: --threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "scan.csv").exists()
+
+    def test_threads_flag_leaves_config_hash(self, tmp_path):
+        cfg = _write_config(
+            tmp_path,
+            {"instance": {"kind": "hard", "k": 2, "n": 200, "seeds": [1, 2]},
+             "scan": {"depths": [2]},
+             "out_dir": "out"},
+        )
+        hashes = []
+        for flags in ([], ["--threads", "2"]):
+            assert main(["scan", "--config", cfg, *flags]) == 0
+            with open(tmp_path / "out" / "scan.csv") as fh:
+                hashes.append({row["config_hash"] for row in csv.DictReader(fh)})
+        assert hashes[0] == hashes[1] and len(hashes[0]) == 1
+
     def test_window_exceeding_depth_rejected(self, tmp_path, capsys):
         cfg = _write_config(
             tmp_path,

@@ -150,6 +150,7 @@ class TestTraceAndScanCsv:
         n = int.from_bytes(raw[:8], "little")
         depth = int.from_bytes(raw[8:16], "little")
         assert (n, depth) == (small_dataset.n, 4)
+        assert raw[16:] == np.ascontiguousarray(trace.logit_matrix(), dtype="<f8").tobytes()
         matrix = read_logit_dump(path)
         assert np.array_equal(matrix, trace.logit_matrix())
 

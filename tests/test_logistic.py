@@ -14,7 +14,6 @@ from nia import (
     bce_loss,
     fit_logistic,
     generate_hard_instance,
-    predict_logits,
     residual_moments,
     sigmoid,
     stable_softplus,
@@ -261,6 +260,19 @@ class TestFitLogistic:
         assert fit.weights.shape == (2,)
         assert fit.weights[-1] == pytest.approx(0.7, abs=0.15)
 
+    def test_duplicated_column_splits_weight_evenly(self):
+        # Two copies of one column make the Hessian singular. The minimum-norm
+        # Newton step never moves along the null direction (1, -1), so the
+        # fit splits the one-column weight evenly.
+        rng = np.random.default_rng(41)
+        a = rng.normal(size=5000)
+        labels = (rng.random(5000) < sigmoid(0.8 * a)).astype(float)
+        one = fit_logistic(a[:, None], labels)
+        two = fit_logistic(np.column_stack([a, a]), labels)
+        assert one.converged and two.converged
+        assert abs(two.weights[0] - two.weights[1]) <= 1e-12
+        assert abs(two.weights.sum() - one.weights[0]) <= 1e-12
+
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFinite):
             fit_logistic(np.array([[np.nan]]), np.array([1.0]))
@@ -316,25 +328,6 @@ class TestWarmStart:
         design, labels = problem
         with pytest.raises(NonFinite):
             fit_logistic(design, labels, start=[0.0, np.inf, 0.0])
-
-
-class TestPredictLogits:
-    def test_zero_weights(self):
-        design = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(predict_logits([0.0, 0.0], design), np.zeros(3))
-
-    def test_basis_vector_extracts_column(self):
-        design = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(predict_logits([1.0, 0.0], design), design[:, 0])
-
-    def test_all_ones_recover_latent_on_generated_data(self):
-        ds = generate_hard_instance(HardInstanceSpec(k=2, n=100, seed=0))
-        z = predict_logits([1.0, 1.0], ds.features)
-        assert np.allclose(z, ds.latents[:, -1], rtol=1e-12, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            predict_logits([1.0], np.zeros((3, 2)))
 
 
 class TestResidualMoments:

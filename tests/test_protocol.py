@@ -181,6 +181,39 @@ class TestRunProtocol:
         assert trace.models[4].v.shape == (2,)
         assert trace.losses[4] <= min(trace.losses[2], trace.losses[3]) + 1e-12
 
+    def test_layered_dag_converges(self):
+        # 6 layers of 4 agents, agent j of a layer on features {2j-1, 2j},
+        # every agent of a layer a parent of every agent of the next, and a
+        # featureless sink over the last layer. A parent column is then an
+        # exact linear combination of a child's own features plus other
+        # parent columns, so the designs are rank-deficient.
+        layers, width = 6, 4
+        features = [{2 * j - 1, 2 * j} for _ in range(layers) for j in range(1, width + 1)]
+        edges = [
+            ((layer - 1) * width + i, layer * width + j)
+            for layer in range(1, layers)
+            for i in range(1, width + 1)
+            for j in range(1, width + 1)
+        ]
+        sink = layers * width + 1
+        edges += [(sink - width - 1 + i, sink) for i in range(1, width + 1)]
+        g = build_agent_graph(edges, features + [set()], d=8)
+        for seed in range(1, 21):
+            ds = generate_hard_instance(HardInstanceSpec(k=8, n=20_000, seed=seed))
+            trace = run_protocol(ds, g)
+            for agent in g.topo_order:
+                model = trace.models[agent]
+                assert model.converged, (seed, agent)
+                design = agent_design(ds, g, agent, trace)
+                moments = residual_moments(design, trace.logits[agent], ds.labels)
+                assert np.max(np.abs(moments)) <= 1e-9, (seed, agent)
+                weights = np.concatenate([model.w, model.v])
+                assert np.array_equal(trace.logits[agent], design @ weights), (seed, agent)
+                parents = g.parents_of(agent)
+                if parents:
+                    best = min(trace.losses[p] for p in parents)
+                    assert trace.losses[agent] <= best + 1e-12, (seed, agent)
+
 
 class TestSinkExcessLoss:
     def test_single_all_features_agent_has_zero_excess(self):
