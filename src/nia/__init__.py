@@ -65,19 +65,12 @@ from .metrics import (
     stable_block,
     verify_decomposition,
 )
-from .protocol import (
-    AgentModel,
-    ProtocolTrace,
-    agent_design,
-    run_protocol,
-    sink_excess_loss,
-)
+from .protocol import ProtocolTrace, agent_design, run_protocol, sink_excess_loss
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AgentGraph",
-    "AgentModel",
     "CoverageResult",
     "CycleDetected",
     "Dataset",

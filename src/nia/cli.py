@@ -36,7 +36,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=doc)
         cmd.add_argument("--config", help="JSON experiment configuration")
         cmd.add_argument("--out", help="output directory (overrides config)")
-        cmd.add_argument("--seed", type=int, help="replace the configured seed list")
+        cmd.add_argument(
+            "--seed", type=int, help="replace instance.seeds with [N] and set verify.seed to N"
+        )
         cmd.add_argument(
             "--threads",
             type=int,
@@ -52,7 +54,9 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     if args.seed is not None:
         # InstanceConfig rejects a negative seed inside replace.
         config = dataclasses.replace(
-            config, instance=dataclasses.replace(config.instance, seeds=(args.seed,))
+            config,
+            instance=dataclasses.replace(config.instance, seeds=(args.seed,)),
+            verify=dataclasses.replace(config.verify, seed=args.seed),
         )
     if args.out is not None:
         config = dataclasses.replace(config, out_dir=args.out)

@@ -44,15 +44,18 @@ def global_logistic_fit(dataset: Dataset, opts: FitOptions) -> FitResult:
     return fit_logistic(dataset.features, dataset.labels, opts)
 
 
-def resolve_graph(config: ExperimentConfig) -> tuple[AgentGraph, int, int | None]:
-    """Build or load the graph; returns (graph, d, window M or None)."""
+def resolve_graph(config: ExperimentConfig, d: int) -> tuple[AgentGraph, int, int | None]:
+    """Build or load the graph; returns (graph, d, window M or None).
+
+    A cyclic path runs over the dataset's ``d`` features, and its window
+    defaults to ``d``; a graph file brings its own ``d``.
+    """
     gc = config.graph
     if gc is None:
         raise InvalidConfig("this command requires a 'graph' section")
     if gc.cyclic_depth is not None:
-        k = config.instance.k
-        graph = cyclic_path_assignment(k, gc.cyclic_depth)
-        return graph, k, (gc.m if gc.m is not None else k)
+        graph = cyclic_path_assignment(d, gc.cyclic_depth)
+        return graph, d, (gc.m if gc.m is not None else d)
     graph, d = read_graph_file(gc.file)
     return graph, d, gc.m
 
@@ -77,38 +80,32 @@ class RunArtifacts:
 def run_experiment(config: ExperimentConfig) -> RunArtifacts:
     """One protocol run plus the global fit, bound values, and diagnostics.
 
-    Coverage is evaluated only for path graphs with a known window M; when
-    it fails (or is not applicable) the depth-bound comparison is omitted
-    from the report rather than computed on an inapplicable graph.
+    Coverage is evaluated only for path graphs with a window M no longer
+    than the path, and is reported as None otherwise; when it fails (or is
+    not applicable) the depth-bound comparison is omitted from the report
+    rather than computed on an inapplicable graph.
     """
     dataset, seed = resolve_dataset(config)
-    graph, d, window = resolve_graph(config)
+    graph, d, window = resolve_graph(config, dataset.d)
     trace = run_protocol(dataset, graph, config.solver)
     gfit = global_logistic_fit(dataset, config.solver)
-    excess = sink_excess_loss(trace, dataset, gfit)
+    excess = sink_excess_loss(trace, gfit)
     sink = trace.sink_id
 
     is_path = graph.is_path()
-    coverage = None
-    first_violation = None
-    if is_path and window is not None:
-        cov = check_m_coverage(graph, window, d)
-        coverage = cov.ok
-        first_violation = cov.first_violation
-
-    b_x = feature_second_moment_bound(dataset.features)
-    b_g = gfit.l1_norm
-    block = None
-    theory: dict | None = None
-    if is_path:
-        losses = trace.loss_path()
-        if window is not None and window <= losses.shape[0]:
-            block = stable_block(losses, window)
-            theory = build_theory_report(
-                b_x=b_x, b_g=b_g, m=window, depth=graph.num_agents, epsilon=block.drop
-            ).to_dict()
-            if not coverage:
-                theory["rhs_convergence_bound"] = None
+    coverage = first_violation = block = theory = None
+    if is_path and window is not None and window <= graph.num_agents:
+        coverage, first_violation = check_m_coverage(graph, window, d)
+        block = stable_block(trace.loss_path(), window)
+        theory = build_theory_report(
+            b_x=feature_second_moment_bound(dataset.features),
+            b_g=gfit.l1_norm,
+            m=window,
+            depth=graph.num_agents,
+            epsilon=block.drop,
+        ).to_dict()
+        if not coverage:
+            theory["rhs_convergence_bound"] = None
 
     report = {
         "config_hash": config.config_hash(),
@@ -122,7 +119,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
         "coverage_first_violation": first_violation,
         "sink_agent": sink,
         "sinks": list(graph.sinks()),
-        "sink_loss": trace.losses[sink],
+        "sink_loss": trace.models[sink].loss,
         "global_loss": gfit.loss,
         "excess": excess,
         "all_converged": trace.all_converged and gfit.converged,
@@ -248,7 +245,11 @@ def orthogonality_suite(
     dataset: Dataset, graph: AgentGraph, trace: ProtocolTrace, threshold: float = 1e-9
 ) -> dict:
     """Residual moments of every converged agent's own design at its fitted
-    logits; all must vanish to within the threshold."""
+    logits; all must vanish to within the threshold.
+
+    The moments are recomputed from the published columns rather than read
+    from each fit's ``grad_norm``, which includes the ridge term and would
+    let a regularized fit pass."""
     worst = 0.0
     unconverged = 0
     for agent_id in graph.topo_order:

@@ -82,15 +82,13 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def dataset_to_bytes(dataset: Dataset) -> bytes:
-    header = DATASET_MAGIC + struct.pack("<QQ", dataset.n, dataset.d)
-    feats = np.ascontiguousarray(dataset.features, dtype="<f8").tobytes()
-    labels = dataset.labels.astype(np.uint8).tobytes()
-    return header + feats + labels
-
-
 def write_dataset_file(path: str, dataset: Dataset) -> None:
-    atomic_write_bytes(path, dataset_to_bytes(dataset))
+    atomic_write_bytes(
+        path,
+        DATASET_MAGIC + struct.pack("<QQ", dataset.n, dataset.d),
+        np.ascontiguousarray(dataset.features, dtype="<f8"),
+        dataset.labels.astype(np.uint8),
+    )
 
 
 def read_dataset_file(path: str) -> Dataset:
@@ -105,7 +103,7 @@ def read_dataset_file(path: str) -> Dataset:
         raise NiaError(f"{path}: truncated dataset file ({len(raw)} bytes, expected {expected})")
     feats = np.frombuffer(raw, dtype="<f8", count=n * d, offset=offset).reshape(n, d)
     labels = np.frombuffer(raw, dtype=np.uint8, count=n, offset=offset + 8 * n * d)
-    return Dataset(features=feats.astype(np.float64), labels=labels.astype(np.float64))
+    return Dataset(features=feats, labels=labels)
 
 
 def graph_to_json_obj(graph: AgentGraph, d: int) -> dict:

@@ -174,9 +174,11 @@ def fit_logistic(
 
     Each iterate costs one exponential over the rows: the line search keeps
     the accepted candidate's loss and exp(-|z|), from which the next
-    gradient and Hessian follow. ``loss`` is bitwise ``bce_loss`` of the
-    logits the solver carries, which match ``design @ weights`` up to
-    rounding.
+    gradient and Hessian follow. Every iterate's logits are the product
+    ``design @ weights`` itself, not an update of the previous logits, so
+    ``loss`` is bitwise ``bce_loss(design @ result.weights, labels)`` for any
+    float64 design: the fit's loss is the loss of the column a caller
+    publishes.
     """
     opts = opts or FitOptions()
     x = np.asarray(design, dtype=np.float64)
@@ -209,9 +211,9 @@ def fit_logistic(
             converged=True,
         )
 
-    # One row per design column, so gradient, Hessian and direction are
-    # row-major products; a transposed view of a C-ordered stack (as
-    # ``agent_design`` returns) needs no copy.
+    # One row per design column, so gradient and Hessian are row-major
+    # products; a transposed view of a C-ordered stack (as ``agent_design``
+    # returns) needs no copy.
     xt = np.ascontiguousarray(x.T)
     # Four row-length arrays serve the whole fit, because touching fresh
     # pages costs about as much as the arithmetic. z and e hold the current
@@ -220,7 +222,7 @@ def fit_logistic(
     # uses they are scratch: e turns into the sigmoid p, zc holds p - y and
     # then the Hessian weights, ec one weighted design row at a time (so no
     # m x n product is formed), and e the candidate's softplus rows.
-    z = np.zeros(n) if start is None else theta @ xt
+    z = x @ theta
     e, zc, ec = np.empty(n), np.empty(n), np.empty(n)
 
     def mean_bce(z: np.ndarray, e: np.ndarray, work: np.ndarray) -> float:
@@ -263,7 +265,7 @@ def fit_logistic(
         accepted = False
         while t >= _MIN_STEP:
             cand = theta + t * step
-            np.add(z, np.matmul(t * step, xt, out=zc), out=zc)
+            np.matmul(x, cand, out=zc)
             lc = mean_bce(zc, ec, e)
             if lc + _ridge_penalty(cand, opts.ridge) <= f0 + _ARMIJO_C1 * t * slope + slack:
                 theta, loss = cand, lc

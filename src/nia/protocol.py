@@ -2,8 +2,10 @@
 
 Agents are processed in topological order; each fits a logistic model on its
 local feature columns plus its parents' logit columns and publishes its own
-logit column. Fitted logit columns are cached for the whole run (n * D reals),
-which is the accepted budget at desk scale.
+logit column ``design @ weights``. The fit's loss is that column's loss, so
+each agent has one record, the ``FitResult`` its fit returned. Fitted logit
+columns are cached for the whole run (n * D reals), which is the accepted
+budget at desk scale.
 """
 
 from __future__ import annotations
@@ -16,34 +18,22 @@ import numpy as np
 from .data import Dataset
 from .errors import DimensionMismatch, MissingParent, NotConvergedWarning
 from .graph import AgentGraph
-from .logistic import FitOptions, FitResult, bce_loss, fit_logistic
-
-@dataclass(frozen=True)
-class AgentModel:
-    """Fitted parameters of one agent: local feature weights ``w`` (ascending
-    feature index) and parent logit weights ``v`` (declared parent order)."""
-
-    agent_id: int
-    w: np.ndarray
-    v: np.ndarray
-    loss: float
-    grad_norm: float
-    converged: bool
-    iterations: int
-
-    @property
-    def l1_norm(self) -> float:
-        return float(np.abs(self.w).sum() + np.abs(self.v).sum())
+from .logistic import FitOptions, FitResult, fit_logistic
 
 
 @dataclass(frozen=True)
 class ProtocolTrace:
-    """Per-agent models, logit columns, and losses of one protocol run."""
+    """Per-agent fits and published logit columns of one protocol run.
+
+    ``models[a]`` is agent a's ``FitResult`` as the fit returned it: its
+    ``weights`` are the local feature weights (ascending feature index) then
+    the parent logit weights (declared parent order), and its ``loss`` is
+    bitwise ``bce_loss(logits[a], labels)``.
+    """
 
     order: tuple[int, ...]
-    models: dict[int, AgentModel]
+    models: dict[int, FitResult]
     logits: dict[int, np.ndarray]
-    losses: dict[int, float]
 
     @property
     def sink_id(self) -> int:
@@ -56,7 +46,7 @@ class ProtocolTrace:
 
     def loss_path(self) -> np.ndarray:
         """Losses arranged by topological position."""
-        return np.array([self.losses[a] for a in self.order])
+        return np.array([self.models[a].loss for a in self.order])
 
     def logit_matrix(self) -> np.ndarray:
         """n x D matrix of logit columns in topological order."""
@@ -106,40 +96,22 @@ def run_protocol(
         raise DimensionMismatch(
             f"graph references feature {max_feature} but dataset has d={dataset.d}"
         )
-    trace = ProtocolTrace(order=graph.topo_order, models={}, logits={}, losses={})
+    trace = ProtocolTrace(order=graph.topo_order, models={}, logits={})
     for agent_id in graph.topo_order:
         design = agent_design(dataset, graph, agent_id, trace)
-        n_local = len(graph.feature_set(agent_id))
         parents = graph.parents_of(agent_id)
         start = None
         if parents:
             start = np.zeros(design.shape[1])
-            start[n_local + int(np.argmin([trace.losses[p] for p in parents]))] = 1.0
+            best = np.argmin([trace.models[p].loss for p in parents])
+            start[len(graph.feature_set(agent_id)) + int(best)] = 1.0
         fit = fit_logistic(design, dataset.labels, opts, start)
-        # Publish the column recomputed from the final weights so that
-        # logits[a] == design @ weights holds exactly; record the loss of the
-        # published column for consistency with downstream monotone checks.
-        z = design @ fit.weights if design.shape[1] else np.zeros(dataset.n)
-        loss = bce_loss(z, dataset.labels)
-        trace.models[agent_id] = AgentModel(
-            agent_id=agent_id,
-            w=fit.weights[:n_local],
-            v=fit.weights[n_local:],
-            loss=loss,
-            grad_norm=fit.grad_norm,
-            converged=fit.converged,
-            iterations=fit.iterations,
-        )
-        trace.logits[agent_id] = z
-        trace.losses[agent_id] = loss
+        trace.models[agent_id] = fit
+        trace.logits[agent_id] = design @ fit.weights
     return trace
 
 
-def sink_excess_loss(
-    trace: ProtocolTrace,
-    dataset: Dataset,
-    global_fit: FitResult,
-) -> float:
+def sink_excess_loss(trace: ProtocolTrace, global_fit: FitResult) -> float:
     """Final-agent loss minus the all-features fit's loss.
 
     Warns (NotConvergedWarning) when either side missed its gradient
@@ -160,5 +132,4 @@ def sink_excess_loss(
             NotConvergedWarning,
             stacklevel=2,
         )
-    sink_loss = bce_loss(trace.logits[sink], dataset.labels)
-    return sink_loss - global_fit.loss
+    return trace.models[sink].loss - global_fit.loss

@@ -89,7 +89,8 @@ def scaling_runs():
                 "features": ds.features,
                 "zk": ds.latents[:, -1],
                 "logits": {p: trace.logits[K * p] for p in (1, 2, 3)},
-                "agent_k_v_norm": float(np.linalg.norm(trace.models[K].v)),
+                # Agent K holds one feature, then its parent weight.
+                "agent_k_v_norm": float(np.linalg.norm(trace.models[K].weights[1:])),
             }
     return {"runs": runs, "seed_one": seed_one, "elapsed": time.monotonic() - start}
 

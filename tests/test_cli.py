@@ -174,6 +174,44 @@ class TestRun:
         assert int.from_bytes(raw[:8], "little") == 200
         assert int.from_bytes(raw[8:16], "little") == 4
 
+    def test_cyclic_path_over_file_dataset_spans_its_features(self, tmp_path, capsys):
+        # An 8-feature dataset file under the default instance.k of 4: the
+        # path covers all 8 features and the window defaults to 8.
+        gen_cfg = _write_config(
+            tmp_path,
+            {"instance": {"kind": "hard", "k": 8, "n": 2000, "seeds": [3]}, "out_dir": "data"},
+            name="gen.json",
+        )
+        assert main(["generate", "--config", gen_cfg]) == 0
+        cfg = _write_config(
+            tmp_path,
+            {"instance": {"kind": "file", "dataset": "data/dataset_k8_n2000_seed3.nia"},
+             "graph": {"cyclic_depth": 8},
+             "out_dir": "out"},
+            name="run.json",
+        )
+        assert main(["run", "--config", cfg]) == 0
+        report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+        assert (report["d"], report["m"], report["coverage"]) == (8, 8, True)
+        # Covered, so the depth bound is reported.
+        assert report["theory"]["rhs_convergence_bound"] is not None
+
+    def test_window_longer_than_path_reports_null_coverage(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path,
+            {"instance": {"kind": "hard", "k": 4, "n": 1000, "seeds": [1]},
+             "graph": {"cyclic_depth": 3},
+             "out_dir": "out"},
+        )
+        assert main(["run", "--config", cfg]) == 0
+        report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+        assert report["m"] == 4
+        assert report["coverage"] is None
+        assert report["coverage_first_violation"] is None
+        assert report["stable_block"] is None
+        assert report["theory"] is None
+        assert "coverage=None" in capsys.readouterr().out
+
     def test_run_without_graph_fails_cleanly(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {"instance": {"kind": "hard", "k": 2, "n": 100}})
         assert main(["run", "--config", cfg]) == 2
@@ -290,6 +328,18 @@ class TestVerify:
         report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
         assert report["suites"]["decomposition"]["passed"] is False
         assert report["all_passed"] is False
+
+
+    def test_seed_flag_sets_verify_seed(self, tmp_path):
+        def suites(name, verify, *flags):
+            cfg = _write_config(tmp_path, {"verify": verify, "out_dir": name}, name=f"{name}.json")
+            assert main(["verify", "--config", cfg, *flags]) == 0
+            return json.loads((tmp_path / name / "verify_report.json").read_text())["suites"]
+
+        flag = suites("flag", FAST_VERIFY, "--seed", "7")
+        configured = suites("configured", FAST_VERIFY | {"seed": 7})
+        assert flag == configured
+        assert flag != suites("seed1", FAST_VERIFY)
 
 
 class TestEntryPoint:

@@ -27,7 +27,6 @@ from nia.config import (
 from nia.io import (
     SCAN_FIELDS,
     TRACE_FIELDS,
-    dataset_to_bytes,
     read_dataset_file,
     read_graph_file,
     read_logit_dump,
@@ -53,16 +52,23 @@ class TestDatasetFormat:
         assert np.array_equal(loaded.features, small_dataset.features)
         assert np.array_equal(loaded.labels, small_dataset.labels)
 
-    def test_bytes_deterministic(self, small_dataset):
-        assert dataset_to_bytes(small_dataset) == dataset_to_bytes(small_dataset)
+    def test_bytes_deterministic(self, small_dataset, tmp_path):
+        paths = [tmp_path / "a.nia", tmp_path / "b.nia"]
+        for path in paths:
+            write_dataset_file(str(path), small_dataset)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_header_layout(self, small_dataset):
-        raw = dataset_to_bytes(small_dataset)
+    def test_header_layout(self, small_dataset, tmp_path):
+        path = tmp_path / "data.nia"
+        write_dataset_file(str(path), small_dataset)
+        raw = path.read_bytes()
         assert raw[:4] == b"NIA1"
         n = int.from_bytes(raw[4:12], "little")
         d = int.from_bytes(raw[12:20], "little")
         assert (n, d) == (small_dataset.n, small_dataset.d)
         assert len(raw) == 20 + 8 * n * d + n
+        body = small_dataset.features.astype("<f8").tobytes() + small_dataset.labels.astype(np.uint8).tobytes()
+        assert raw[20:] == body
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.nia"
@@ -72,16 +78,17 @@ class TestDatasetFormat:
 
     def test_truncated_rejected(self, small_dataset, tmp_path):
         path = tmp_path / "cut.nia"
-        path.write_bytes(dataset_to_bytes(small_dataset)[:-3])
+        write_dataset_file(str(path), small_dataset)
+        path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(NiaError):
             read_dataset_file(str(path))
 
     def test_sha256_matches_content(self, small_dataset, tmp_path):
         import hashlib
 
-        path = str(tmp_path / "data.nia")
-        write_dataset_file(path, small_dataset)
-        assert sha256_file(path) == hashlib.sha256(dataset_to_bytes(small_dataset)).hexdigest()
+        path = tmp_path / "data.nia"
+        write_dataset_file(str(path), small_dataset)
+        assert sha256_file(str(path)) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestGraphFormat:

@@ -11,10 +11,13 @@ from nia import (
     HardInstanceSpec,
     LengthMismatch,
     NonFinite,
+    agent_design,
     bce_loss,
+    cyclic_path_assignment,
     fit_logistic,
     generate_hard_instance,
     residual_moments,
+    run_protocol,
     sigmoid,
     stable_softplus,
 )
@@ -311,12 +314,24 @@ class TestWarmStart:
         assert np.array_equal(again.weights, cold.weights)
 
     def test_loss_is_bce_of_final_logits(self, problem):
-        # The solver carries its logits forward step by step, so they match
-        # design @ weights up to rounding only.
+        # Every iterate's logits are the product design @ weights, so the
+        # loss is bitwise that of the column a caller publishes, for a
+        # C-ordered design and for a column-major one as agent_design builds.
         design, labels = problem
+        assert design.flags.c_contiguous
         fit = fit_logistic(design, labels, start=[0.0, 0.0, 1.0])
         assert fit.iterations > 0
-        assert abs(fit.loss - bce_loss(design @ fit.weights, labels)) <= 1e-14
+        assert fit.loss == bce_loss(design @ fit.weights, labels)
+
+        ds = generate_hard_instance(HardInstanceSpec(k=3, n=5000, seed=5))
+        graph = cyclic_path_assignment(3, 5)
+        trace = run_protocol(ds, graph)
+        for agent in (4, 5):
+            design = agent_design(ds, graph, agent, trace)
+            assert design.flags.f_contiguous and not design.flags.c_contiguous
+            fit = fit_logistic(design, ds.labels, start=[0.5, 0.5])
+            assert fit.iterations > 0
+            assert fit.loss == bce_loss(design @ fit.weights, ds.labels), agent
 
     @pytest.mark.parametrize("start", [[1.0], [1.0, 0.0, 0.0, 0.0]])
     def test_wrong_length_rejected(self, problem, start):

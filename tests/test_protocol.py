@@ -12,6 +12,7 @@ from nia import (
     MissingParent,
     NotConvergedWarning,
     agent_design,
+    bce_loss,
     build_agent_graph,
     convergence_bound_rhs,
     cyclic_path_assignment,
@@ -28,7 +29,7 @@ LOG2 = math.log(2.0)
 
 
 def _empty_trace(order=()):
-    return ProtocolTrace(order=tuple(order), models={}, logits={}, losses={})
+    return ProtocolTrace(order=tuple(order), models={}, logits={})
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +79,7 @@ class TestRunProtocol:
         opts = FitOptions()
         trace = run_protocol(ds, g, opts)
         gfit = fit_logistic(ds.features, ds.labels, opts)
-        assert trace.losses[1] == pytest.approx(gfit.loss, abs=1e-12)
+        assert trace.models[1].loss == pytest.approx(gfit.loss, abs=1e-12)
 
     def test_uninformative_prefix_stays_near_prior(self):
         # Agents seeing only label-independent feature columns fit nothing
@@ -88,8 +89,8 @@ class TestRunProtocol:
         for agent in (1, 2):
             z = trace.logits[agent]
             assert float(np.linalg.norm(z)) / math.sqrt(ds.n) <= 0.01
-            assert abs(trace.losses[agent] - LOG2) <= 1e-4
-        assert trace.losses[3] < LOG2 - 1e-3
+            assert abs(trace.models[agent].loss - LOG2) <= 1e-4
+        assert trace.models[3].loss < LOG2 - 1e-3
 
     def test_duplicated_agent_changes_sink_loss_negligibly(self):
         ds = generate_hard_instance(HardInstanceSpec(k=2, n=20_000, seed=6))
@@ -100,8 +101,8 @@ class TestRunProtocol:
         doubled = build_agent_graph(
             [(1, 2), (2, 3), (3, 4)], [{1}, {2}, {2}, {1}], d=2
         )
-        loss_base = run_protocol(ds, base, opts).losses[3]
-        loss_doubled = run_protocol(ds, doubled, opts).losses[4]
+        loss_base = run_protocol(ds, base, opts).models[3].loss
+        loss_doubled = run_protocol(ds, doubled, opts).models[4].loss
         assert abs(loss_doubled - loss_base) <= 10 * opts.grad_tol
 
     def test_losses_monotone_along_path(self):
@@ -129,8 +130,8 @@ class TestRunProtocol:
         for agent in g.topo_order:
             model = trace.models[agent]
             design = agent_design(ds, g, agent, trace)
-            weights = np.concatenate([model.w, model.v])
-            assert np.array_equal(trace.logits[agent], design @ weights)
+            assert np.array_equal(trace.logits[agent], design @ model.weights)
+            assert model.loss == bce_loss(trace.logits[agent], ds.labels)
 
     def test_prefix_stability(self):
         # A shorter cyclic run is bitwise the prefix of a longer one; the
@@ -141,14 +142,14 @@ class TestRunProtocol:
         long = run_protocol(ds, cyclic_path_assignment(3, 12), opts)
         for agent in range(1, 7):
             assert np.array_equal(short.logits[agent], long.logits[agent])
-            assert short.losses[agent] == long.losses[agent]
+            assert short.models[agent].loss == long.models[agent].loss
 
     def test_deterministic_trace(self):
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=5000, seed=8))
         g = cyclic_path_assignment(3, 6)
         a = run_protocol(ds, g)
         b = run_protocol(ds, g)
-        assert a.losses == b.losses
+        assert a.loss_path().tolist() == b.loss_path().tolist()
         for agent in g.topo_order:
             assert np.array_equal(a.logits[agent], b.logits[agent])
 
@@ -163,7 +164,7 @@ class TestRunProtocol:
         g = build_agent_graph([(1, 2), (1, 3)], [{1}, {2}, {2}], d=2)
         trace = run_protocol(ds, g)
         assert trace.sink_id == 3
-        assert set(trace.losses) == {1, 2, 3}
+        assert set(trace.models) == {1, 2, 3}
 
     def test_diamond_dag_multi_parent_agent(self):
         # 1 -> 2, 1 -> 3, 2 -> 4, 3 -> 4: agent 4 fits on its own feature
@@ -177,9 +178,10 @@ class TestRunProtocol:
             design = agent_design(ds, g, agent, trace)
             moments = residual_moments(design, trace.logits[agent], ds.labels)
             assert np.max(np.abs(moments)) <= 1e-9
-            assert np.array_equal(trace.logits[agent], design @ np.concatenate([model.w, model.v]))
-        assert trace.models[4].v.shape == (2,)
-        assert trace.losses[4] <= min(trace.losses[2], trace.losses[3]) + 1e-12
+            assert np.array_equal(trace.logits[agent], design @ model.weights)
+        # One local weight, then one per parent.
+        assert trace.models[4].weights[1:].shape == (2,)
+        assert trace.models[4].loss <= min(trace.models[2].loss, trace.models[3].loss) + 1e-12
 
     def test_layered_dag_converges(self):
         # 6 layers of 4 agents, agent j of a layer on features {2j-1, 2j},
@@ -207,12 +209,12 @@ class TestRunProtocol:
                 design = agent_design(ds, g, agent, trace)
                 moments = residual_moments(design, trace.logits[agent], ds.labels)
                 assert np.max(np.abs(moments)) <= 1e-9, (seed, agent)
-                weights = np.concatenate([model.w, model.v])
-                assert np.array_equal(trace.logits[agent], design @ weights), (seed, agent)
+                assert np.array_equal(trace.logits[agent], design @ model.weights), (seed, agent)
+                assert model.loss == bce_loss(trace.logits[agent], ds.labels), (seed, agent)
                 parents = g.parents_of(agent)
                 if parents:
-                    best = min(trace.losses[p] for p in parents)
-                    assert trace.losses[agent] <= best + 1e-12, (seed, agent)
+                    best = min(trace.models[p].loss for p in parents)
+                    assert model.loss <= best + 1e-12, (seed, agent)
 
 
 class TestSinkExcessLoss:
@@ -222,7 +224,7 @@ class TestSinkExcessLoss:
         opts = FitOptions()
         trace = run_protocol(ds, g, opts)
         gfit = fit_logistic(ds.features, ds.labels, opts)
-        excess = sink_excess_loss(trace, ds, gfit)
+        excess = sink_excess_loss(trace, gfit)
         assert abs(excess) <= 10 * opts.grad_tol
 
     def test_excess_bounded_below_by_solver_slack(self):
@@ -230,7 +232,7 @@ class TestSinkExcessLoss:
         opts = FitOptions()
         trace = run_protocol(ds, cyclic_path_assignment(3, 9), opts)
         gfit = fit_logistic(ds.features, ds.labels, opts)
-        assert sink_excess_loss(trace, ds, gfit) >= -10 * opts.grad_tol
+        assert sink_excess_loss(trace, gfit) >= -10 * opts.grad_tol
 
     def test_covered_path_excess_below_depth_bound(self):
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=20_000, seed=16))
@@ -238,7 +240,7 @@ class TestSinkExcessLoss:
         depth = 24
         trace = run_protocol(ds, cyclic_path_assignment(3, depth), opts)
         gfit = fit_logistic(ds.features, ds.labels, opts)
-        excess = sink_excess_loss(trace, ds, gfit)
+        excess = sink_excess_loss(trace, gfit)
         bound = convergence_bound_rhs(
             gfit.l1_norm, feature_second_moment_bound(ds.features), 3, depth
         )
@@ -263,4 +265,4 @@ class TestSinkExcessLoss:
         bad_global = fit_logistic(ds.features, ds.labels, FitOptions(max_iters=1))
         assert not bad_global.converged
         with pytest.warns(NotConvergedWarning):
-            sink_excess_loss(trace, ds, bad_global)
+            sink_excess_loss(trace, bad_global)
