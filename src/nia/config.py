@@ -67,6 +67,8 @@ class GraphConfig:
             raise InvalidConfig("graph.cyclic_depth must be >= 1")
         if self.file is not None and not os.path.exists(self.file):
             raise InvalidConfig(f"graph file not found: {self.file}")
+        if self.m is not None and self.m < 1:
+            raise InvalidConfig(f"graph.m must be >= 1, got {self.m}")
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,14 @@ import numpy as np
 from .errors import DimensionMismatch, NonFinite, NiaError
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=np.float64)
-    if out is a:
-        out = out.copy()
+# Rows per block of the prefix-sum check, so it needs no whole-matrix
+# temporaries.
+_CHECK_BLOCK_ROWS = 1 << 16
+
+
+def _as_readonly(a) -> np.ndarray:
+    """One read-only C-contiguous float64 copy of ``a``."""
+    out = np.array(a, dtype=np.float64, order="C")
     out.setflags(write=False)
     return out
 
@@ -34,8 +38,8 @@ class Dataset:
     optimal_logits: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        feats = _as_readonly(np.atleast_2d(np.asarray(self.features, dtype=np.float64)))
-        labels = _as_readonly(np.asarray(self.labels, dtype=np.float64).ravel())
+        feats = _as_readonly(np.atleast_2d(self.features))
+        labels = _as_readonly(np.ravel(self.labels))
         if feats.shape[0] != labels.shape[0]:
             raise DimensionMismatch(
                 f"features have {feats.shape[0]} rows but labels have {labels.shape[0]}"
@@ -47,24 +51,26 @@ class Dataset:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         if self.latents is not None:
-            lat = _as_readonly(np.atleast_2d(np.asarray(self.latents, dtype=np.float64)))
+            lat = _as_readonly(np.atleast_2d(self.latents))
             if lat.shape[0] != feats.shape[0]:
                 raise DimensionMismatch("latents row count differs from features")
             object.__setattr__(self, "latents", lat)
             if lat.shape[1] == feats.shape[1]:
                 self._check_prefix_sums(feats, lat)
         if self.optimal_logits is not None:
-            opt = _as_readonly(np.asarray(self.optimal_logits, dtype=np.float64).ravel())
+            opt = _as_readonly(np.ravel(self.optimal_logits))
             if opt.shape[0] != feats.shape[0]:
                 raise DimensionMismatch("optimal_logits length differs from sample count")
             object.__setattr__(self, "optimal_logits", opt)
 
     @staticmethod
     def _check_prefix_sums(feats: np.ndarray, lat: np.ndarray) -> None:
-        prefix = np.cumsum(feats, axis=1)
-        scale = np.maximum(1.0, np.abs(lat))
-        if not (np.abs(prefix - lat) <= 1e-12 * scale).all():
-            raise NiaError("latent columns do not match feature prefix sums")
+        for start in range(0, feats.shape[0], _CHECK_BLOCK_ROWS):
+            rows = slice(start, start + _CHECK_BLOCK_ROWS)
+            prefix = np.cumsum(feats[rows], axis=1)
+            scale = np.maximum(1.0, np.abs(lat[rows]))
+            if not (np.abs(prefix - lat[rows]) <= 1e-12 * scale).all():
+                raise NiaError("latent columns do not match feature prefix sums")
 
     @property
     def n(self) -> int:

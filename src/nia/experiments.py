@@ -87,7 +87,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
     """
     dataset, seed = resolve_dataset(config)
     graph, d, window = resolve_graph(config, dataset.d)
-    trace = run_protocol(dataset, graph, config.solver)
+    trace = run_protocol(dataset, graph, config.solver, keep_logits=config.dump_logits)
     gfit = global_logistic_fit(dataset, config.solver)
     excess = sink_excess_loss(trace, gfit)
     sink = trace.sink_id
@@ -163,7 +163,7 @@ def _scan_seed_rows(
         dataset = generate_hard_instance(HardInstanceSpec(k=k, n=n, seed=seed))
         gfit = global_logistic_fit(dataset, opts)
         max_depth = max(depth for depth, _ in grid)
-        trace = run_protocol(dataset, cyclic_path_assignment(k, max_depth), opts)
+        trace = run_protocol(dataset, cyclic_path_assignment(k, max_depth), opts, keep_logits=False)
         losses = trace.loss_path()
         b_x = feature_second_moment_bound(dataset.features)
         rows = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import struct
@@ -23,6 +24,10 @@ from .graph import AgentGraph, build_agent_graph
 from .protocol import ProtocolTrace
 
 DATASET_MAGIC = b"NIA1"
+
+# Rows per block of the logit dump: 0.5 MB per column, so a block stays small
+# next to the columns it is cut from.
+LOGIT_DUMP_BLOCK_ROWS = 1 << 16
 
 TRACE_FIELDS = ("agent_id", "topo_pos", "loss", "grad_norm", "converged", "l1_weight_norm")
 
@@ -50,9 +55,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def atomic_write_bytes(path: str, *parts) -> None:
+def atomic_write_bytes(path: str, parts: Iterable) -> None:
     """Write the buffers ``parts`` one after another to ``path``, atomically;
-    each part is anything ``write`` accepts (bytes, a contiguous array)."""
+    each part is anything ``write`` accepts (bytes, a contiguous array).
+    ``parts`` is consumed lazily, so a generator holds one part at a time."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
@@ -67,7 +73,7 @@ def atomic_write_bytes(path: str, *parts) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, (text.encode("utf-8"),))
 
 
 def write_json(path: str, obj) -> None:
@@ -85,9 +91,11 @@ def sha256_file(path: str) -> str:
 def write_dataset_file(path: str, dataset: Dataset) -> None:
     atomic_write_bytes(
         path,
-        DATASET_MAGIC + struct.pack("<QQ", dataset.n, dataset.d),
-        np.ascontiguousarray(dataset.features, dtype="<f8"),
-        dataset.labels.astype(np.uint8),
+        (
+            DATASET_MAGIC + struct.pack("<QQ", dataset.n, dataset.d),
+            np.ascontiguousarray(dataset.features, dtype="<f8"),
+            dataset.labels.astype(np.uint8),
+        ),
     )
 
 
@@ -178,10 +186,24 @@ def write_trace_csv(path: str, trace: ProtocolTrace) -> None:
 
 def write_logit_dump(path: str, trace: ProtocolTrace) -> None:
     """Flat binary dump of all logit columns: u64 n, u64 D, then the n x D
-    column-per-agent matrix row-major as little-endian float64."""
-    matrix = np.ascontiguousarray(trace.logit_matrix(), dtype="<f8")
-    n, depth = matrix.shape
-    atomic_write_bytes(path, struct.pack("<QQ", n, depth), matrix)
+    column-per-agent matrix (topological order) row-major as little-endian
+    float64.
+
+    The matrix is written in row blocks cut from the columns, so the dump
+    never holds an n x D copy. The trace must come from a run that kept its
+    columns (``run_protocol(..., keep_logits=True)``).
+    """
+    if len(trace.logits) != len(trace.order):
+        raise NiaError("logit dump needs every column; run the protocol with keep_logits=True")
+    columns = [trace.logits[a] for a in trace.order]
+    n = columns[0].shape[0]
+
+    def blocks():
+        for start in range(0, n, LOGIT_DUMP_BLOCK_ROWS):
+            rows = slice(start, start + LOGIT_DUMP_BLOCK_ROWS)
+            yield np.stack([col[rows] for col in columns], axis=1).astype("<f8", copy=False)
+
+    atomic_write_bytes(path, itertools.chain([struct.pack("<QQ", n, len(columns))], blocks()))
 
 
 def read_logit_dump(path: str) -> np.ndarray:

@@ -3,9 +3,11 @@
 Agents are processed in topological order; each fits a logistic model on its
 local feature columns plus its parents' logit columns and publishes its own
 logit column ``design @ weights``. The fit's loss is that column's loss, so
-each agent has one record, the ``FitResult`` its fit returned. Fitted logit
-columns are cached for the whole run (n * D reals), which is the accepted
-budget at desk scale.
+each agent has one record, the ``FitResult`` its fit returned. A published
+column lives only until the last agent that reads it has built its design,
+so a run holds the graph's frontier of columns (two on a path), not n * D
+reals; callers that need every column (the logit dump, the orthogonality
+suite) ask ``run_protocol`` to keep them.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ class ProtocolTrace:
     ``models[a]`` is agent a's ``FitResult`` as the fit returned it: its
     ``weights`` are the local feature weights (ascending feature index) then
     the parent logit weights (declared parent order), and its ``loss`` is
-    bitwise ``bce_loss(logits[a], labels)``.
+    bitwise ``bce_loss(design @ weights, labels)``. ``logits[a]`` is that
+    published column; a run with ``keep_logits=False`` drops each column once
+    its last child has built its design and leaves ``logits`` empty.
     """
 
     order: tuple[int, ...]
@@ -47,10 +51,6 @@ class ProtocolTrace:
     def loss_path(self) -> np.ndarray:
         """Losses arranged by topological position."""
         return np.array([self.models[a].loss for a in self.order])
-
-    def logit_matrix(self) -> np.ndarray:
-        """n x D matrix of logit columns in topological order."""
-        return np.column_stack([self.logits[a] for a in self.order])
 
 
 def agent_design(
@@ -76,8 +76,9 @@ def run_protocol(
     dataset: Dataset,
     graph: AgentGraph,
     opts: FitOptions | None = None,
+    keep_logits: bool = True,
 ) -> ProtocolTrace:
-    """Execute the sequential protocol and return the complete trace.
+    """Execute the sequential protocol and return its trace.
 
     An agent with parents starts its fit at pass-through of its lowest-loss
     parent (weight 1 on that column, 0 elsewhere; ties go to the first
@@ -89,6 +90,12 @@ def run_protocol(
     capped weights are still used downstream; the run never aborts on an
     unconverged fit. Results are deterministic for fixed inputs under a fixed
     threading configuration.
+
+    With ``keep_logits=False`` a published column lives only until the last
+    agent that reads it (in topological order) has built its design, and a
+    column no agent reads is never formed, so memory is bounded by the
+    graph's frontier instead of n * D. Fits, losses and weights are bitwise
+    the same either way; the returned ``logits`` is then empty.
     """
     opts = opts or FitOptions()
     max_feature = max((max(s) for s in graph.feature_sets if s), default=0)
@@ -96,10 +103,18 @@ def run_protocol(
         raise DimensionMismatch(
             f"graph references feature {max_feature} but dataset has d={dataset.d}"
         )
+    # Later agents in the topological order overwrite earlier ones, so each
+    # column maps to its last reader; columns nobody reads have no entry.
+    last_reader = {p: a for a in graph.topo_order for p in graph.parents_of(a)}
     trace = ProtocolTrace(order=graph.topo_order, models={}, logits={})
     for agent_id in graph.topo_order:
         design = agent_design(dataset, graph, agent_id, trace)
         parents = graph.parents_of(agent_id)
+        if not keep_logits:
+            # The design holds its own copy of every parent column.
+            for parent in parents:
+                if last_reader[parent] == agent_id:
+                    del trace.logits[parent]
         start = None
         if parents:
             start = np.zeros(design.shape[1])
@@ -107,7 +122,8 @@ def run_protocol(
             start[len(graph.feature_set(agent_id)) + int(best)] = 1.0
         fit = fit_logistic(design, dataset.labels, opts, start)
         trace.models[agent_id] = fit
-        trace.logits[agent_id] = design @ fit.weights
+        if keep_logits or agent_id in last_reader:
+            trace.logits[agent_id] = design @ fit.weights
     return trace
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nia.protocol
 from nia.cli import main
 
 FAST_VERIFY = {
@@ -211,6 +212,21 @@ class TestRun:
         assert report["stable_block"] is None
         assert report["theory"] is None
         assert "coverage=None" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_window_below_one_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch, m):
+        fits = []
+        fit = nia.protocol.fit_logistic
+        monkeypatch.setattr(nia.protocol, "fit_logistic", lambda *a: fits.append(1) or fit(*a))
+        cfg = _write_config(
+            tmp_path,
+            {"instance": {"kind": "hard", "k": 2, "n": 100, "seeds": [1]},
+             "graph": {"cyclic_depth": 3, "m": m},
+             "out_dir": "out"},
+        )
+        assert main(["run", "--config", cfg]) == 2
+        assert "graph.m must be >= 1" in capsys.readouterr().err
+        assert fits == []
 
     def test_run_without_graph_fails_cleanly(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {"instance": {"kind": "hard", "k": 2, "n": 100}})

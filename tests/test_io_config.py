@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import nia.io
 from nia import (
     HardInstanceSpec,
     InvalidConfig,
@@ -157,9 +158,22 @@ class TestTraceAndScanCsv:
         n = int.from_bytes(raw[:8], "little")
         depth = int.from_bytes(raw[8:16], "little")
         assert (n, depth) == (small_dataset.n, 4)
-        assert raw[16:] == np.ascontiguousarray(trace.logit_matrix(), dtype="<f8").tobytes()
-        matrix = read_logit_dump(path)
-        assert np.array_equal(matrix, trace.logit_matrix())
+        matrix = np.column_stack([trace.logits[a] for a in trace.order])
+        assert raw[16:] == np.ascontiguousarray(matrix, dtype="<f8").tobytes()
+        assert np.array_equal(read_logit_dump(path), matrix)
+
+    def test_logit_dump_bytes_do_not_depend_on_block_rows(self, small_dataset, tmp_path, monkeypatch):
+        # 64 rows in 7-row blocks: nine full blocks and a partial last one.
+        trace = run_protocol(small_dataset, cyclic_path_assignment(3, 4))
+        write_logit_dump(str(tmp_path / "one_block.bin"), trace)
+        monkeypatch.setattr(nia.io, "LOGIT_DUMP_BLOCK_ROWS", 7)
+        write_logit_dump(str(tmp_path / "blocks.bin"), trace)
+        assert (tmp_path / "blocks.bin").read_bytes() == (tmp_path / "one_block.bin").read_bytes()
+
+    def test_logit_dump_of_streaming_run_rejected(self, small_dataset, tmp_path):
+        trace = run_protocol(small_dataset, cyclic_path_assignment(3, 4), keep_logits=False)
+        with pytest.raises(NiaError, match="keep_logits"):
+            write_logit_dump(str(tmp_path / "logits.bin"), trace)
 
 
 class TestConfig:

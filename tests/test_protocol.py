@@ -1,6 +1,7 @@
 """Protocol engine: designs, sequential runs, excess loss."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,37 @@ LOG2 = math.log(2.0)
 
 def _empty_trace(order=()):
     return ProtocolTrace(order=tuple(order), models={}, logits={})
+
+
+def _diamond_dag():
+    # 1 -> 2, 1 -> 3, 2 -> 4, 3 -> 4: agent 4 fits on its own feature plus
+    # two parent columns.
+    return build_agent_graph([(1, 2), (1, 3), (2, 4), (3, 4)], [{1}, {2}, {3}, {4}], d=4)
+
+
+def _layered_dag():
+    # 6 layers of 4 agents, agent j of a layer on features {2j-1, 2j},
+    # every agent of a layer a parent of every agent of the next, and a
+    # featureless sink over the last layer. A parent column is then an
+    # exact linear combination of a child's own features plus other
+    # parent columns, so the designs are rank-deficient.
+    layers, width = 6, 4
+    features = [{2 * j - 1, 2 * j} for _ in range(layers) for j in range(1, width + 1)]
+    edges = [
+        ((layer - 1) * width + i, layer * width + j)
+        for layer in range(1, layers)
+        for i in range(1, width + 1)
+        for j in range(1, width + 1)
+    ]
+    sink = layers * width + 1
+    edges += [(sink - width - 1 + i, sink) for i in range(1, width + 1)]
+    return build_agent_graph(edges, features + [set()], d=8)
+
+
+def _skip_edge_dag():
+    # A path 1 -> 2 -> 3 -> 4 plus 1 -> 4: column 1 is read by agent 2 and
+    # again by agent 4, two positions later.
+    return build_agent_graph([(1, 2), (2, 3), (3, 4), (1, 4)], [{1}, {2}, {3}, {4}], d=4)
 
 
 @pytest.fixture(scope="module")
@@ -167,10 +199,8 @@ class TestRunProtocol:
         assert set(trace.models) == {1, 2, 3}
 
     def test_diamond_dag_multi_parent_agent(self):
-        # 1 -> 2, 1 -> 3, 2 -> 4, 3 -> 4: agent 4 fits on its own feature
-        # plus two parent columns.
         ds = generate_hard_instance(HardInstanceSpec(k=4, n=20_000, seed=17))
-        g = build_agent_graph([(1, 2), (1, 3), (2, 4), (3, 4)], [{1}, {2}, {3}, {4}], d=4)
+        g = _diamond_dag()
         trace = run_protocol(ds, g)
         assert trace.all_converged
         for agent in g.topo_order:
@@ -184,22 +214,7 @@ class TestRunProtocol:
         assert trace.models[4].loss <= min(trace.models[2].loss, trace.models[3].loss) + 1e-12
 
     def test_layered_dag_converges(self):
-        # 6 layers of 4 agents, agent j of a layer on features {2j-1, 2j},
-        # every agent of a layer a parent of every agent of the next, and a
-        # featureless sink over the last layer. A parent column is then an
-        # exact linear combination of a child's own features plus other
-        # parent columns, so the designs are rank-deficient.
-        layers, width = 6, 4
-        features = [{2 * j - 1, 2 * j} for _ in range(layers) for j in range(1, width + 1)]
-        edges = [
-            ((layer - 1) * width + i, layer * width + j)
-            for layer in range(1, layers)
-            for i in range(1, width + 1)
-            for j in range(1, width + 1)
-        ]
-        sink = layers * width + 1
-        edges += [(sink - width - 1 + i, sink) for i in range(1, width + 1)]
-        g = build_agent_graph(edges, features + [set()], d=8)
+        g = _layered_dag()
         for seed in range(1, 21):
             ds = generate_hard_instance(HardInstanceSpec(k=8, n=20_000, seed=seed))
             trace = run_protocol(ds, g)
@@ -215,6 +230,46 @@ class TestRunProtocol:
                 if parents:
                     best = min(trace.models[p].loss for p in parents)
                     assert model.loss <= best + 1e-12, (seed, agent)
+
+
+class TestStreaming:
+    """``keep_logits=False`` drops each column after its last reader."""
+
+    @pytest.mark.parametrize(
+        "k, graph",
+        [
+            (4, cyclic_path_assignment(4, 12)),
+            (4, _diamond_dag()),
+            (8, _layered_dag()),
+            (4, _skip_edge_dag()),
+        ],
+        ids=["cyclic_path", "diamond", "layered_6x4", "skip_edge"],
+    )
+    def test_streaming_run_matches_kept_columns_bitwise(self, k, graph):
+        ds = generate_hard_instance(HardInstanceSpec(k=k, n=20_000, seed=3))
+        kept = run_protocol(ds, graph)
+        streamed = run_protocol(ds, graph, keep_logits=False)
+        assert set(kept.logits) == set(graph.topo_order)
+        assert streamed.logits == {}
+        assert streamed.loss_path().tobytes() == kept.loss_path().tobytes()
+        for agent in graph.topo_order:
+            assert streamed.models[agent].weights.tobytes() == kept.models[agent].weights.tobytes()
+
+    def test_streaming_peak_memory_does_not_grow_with_depth(self):
+        # A path holds at most two columns at a time, so quadrupling the depth
+        # may not add more than two columns to the peak.
+        n = 20_000
+        ds = generate_hard_instance(HardInstanceSpec(k=4, n=n, seed=1))
+        peaks = {}
+        for depth in (16, 64):
+            graph = cyclic_path_assignment(4, depth)
+            tracemalloc.start()
+            try:
+                run_protocol(ds, graph, keep_logits=False)
+                peaks[depth] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] - peaks[16] <= 2 * 8 * n, peaks
 
 
 class TestSinkExcessLoss:
