@@ -9,8 +9,8 @@ import numpy as np
 from .errors import DimensionMismatch, NonFinite, NiaError
 
 
-# Rows per block of the prefix-sum check, so it needs no whole-matrix
-# temporaries.
+# Rows per block of the finiteness and prefix-sum checks, so they need no
+# whole-matrix temporaries.
 _CHECK_BLOCK_ROWS = 1 << 16
 
 
@@ -44,19 +44,17 @@ class Dataset:
             raise DimensionMismatch(
                 f"features have {feats.shape[0]} rows but labels have {labels.shape[0]}"
             )
-        if not np.isfinite(feats).all():
-            raise NonFinite("features contain non-finite entries")
-        if not np.isin(labels, (0.0, 1.0)).all():
-            raise NiaError("labels must contain only 0 and 1")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
+        lat = None
         if self.latents is not None:
             lat = _as_readonly(np.atleast_2d(self.latents))
             if lat.shape[0] != feats.shape[0]:
                 raise DimensionMismatch("latents row count differs from features")
-            object.__setattr__(self, "latents", lat)
-            if lat.shape[1] == feats.shape[1]:
-                self._check_prefix_sums(feats, lat)
+        self._check_rows(feats, lat)
+        if not np.isin(labels, (0.0, 1.0)).all():
+            raise NiaError("labels must contain only 0 and 1")
+        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "latents", lat)
         if self.optimal_logits is not None:
             opt = _as_readonly(np.ravel(self.optimal_logits))
             if opt.shape[0] != feats.shape[0]:
@@ -64,9 +62,17 @@ class Dataset:
             object.__setattr__(self, "optimal_logits", opt)
 
     @staticmethod
-    def _check_prefix_sums(feats: np.ndarray, lat: np.ndarray) -> None:
+    def _check_rows(feats: np.ndarray, lat: np.ndarray | None) -> None:
+        """Features are finite and, when ``lat`` has one column per feature,
+        their row-wise prefix sums reproduce it; one pass over row blocks."""
+        if lat is not None and lat.shape[1] != feats.shape[1]:
+            lat = None
         for start in range(0, feats.shape[0], _CHECK_BLOCK_ROWS):
             rows = slice(start, start + _CHECK_BLOCK_ROWS)
+            if not np.isfinite(feats[rows]).all():
+                raise NonFinite("features contain non-finite entries")
+            if lat is None:
+                continue
             prefix = np.cumsum(feats[rows], axis=1)
             scale = np.maximum(1.0, np.abs(lat[rows]))
             if not (np.abs(prefix - lat[rows]) <= 1e-12 * scale).all():

@@ -22,6 +22,10 @@ from .logistic import sigmoid, stable_softplus
 
 DEFAULT_QUADRATURE_NODES = 200
 
+# Rows per block of the noise Monte Carlo, so its memory does not grow with
+# the sample count.
+_MC_BLOCK_ROWS = 1 << 16
+
 
 @dataclass(frozen=True)
 class HardInstanceSpec:
@@ -41,15 +45,20 @@ class HardInstanceSpec:
 
 
 def _uniform_open(rng: np.random.Generator, shape) -> np.ndarray:
-    # Shift the 53-bit uniform off 0 so the inverse CDF stays finite.
-    return rng.random(shape) + 2.0 ** -54
+    # Shift the 53-bit uniform off 0 so the inverse CDF stays finite. The
+    # shift rounds the largest draw, 1 - 2**-53, up to 1.0, so clamp back
+    # below 1; every other value keeps its bits.
+    u = rng.random(shape)
+    u += 2.0 ** -54
+    return np.minimum(u, np.nextafter(1.0, 0.0), out=u)
 
 
 def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard normals via the inverse-CDF map (scipy's ndtri rational
     approximation) applied to counter-based uniforms; bit-reproducible for a
     fixed generator stream."""
-    return ndtri(_uniform_open(rng, shape))
+    u = _uniform_open(rng, shape)
+    return ndtri(u, out=u)
 
 
 def generate_hard_instance(spec: HardInstanceSpec) -> Dataset:
@@ -221,41 +230,79 @@ class NoiseComparison:
 
 def noise_monotonicity_check(
     c: float,
-    v_small: float,
-    v_large: float,
+    pairs,
     n_mc: int,
     seed: int,
-) -> NoiseComparison:
-    """Estimate the loss of z = c Z + xi at noise variances v_small and
-    v_large with a shared (Z, xi) stream.
+) -> list[NoiseComparison]:
+    """Estimate the loss of z = c Z + xi at each (v_small, v_large) noise
+    variance pair with one shared (Z, xi) stream; one comparison per pair.
 
     The per-sample loss is the label-conditional mean -sigmoid(Z) z
     + softplus(z), so the only Monte Carlo noise comes from (Z, xi). Equal
     variances give exactly equal losses; a larger variance gives a strictly
     larger loss in expectation.
+
+    Z takes the first n_mc uniforms of a Philox stream keyed by ``seed`` and
+    xi the next n_mc. Both are drawn and used in blocks of 65536 rows, and
+    each distinct variance is evaluated once per block, so memory does not
+    grow with n_mc. Block means and sums of squared deviations are merged
+    with Chan, Golub and LeVeque's pairwise rule; the per-sample losses are
+    those of a whole-array computation, and only the order of summation
+    differs, which moves the means and standard errors in their last bits.
     """
     if not np.isfinite(c):
         raise InvalidDimension("scale c must be finite")
-    if not 0.0 <= v_small <= v_large:
-        raise InvalidDimension(f"need 0 <= v_small <= v_large, got {v_small}, {v_large}")
+    pairs = list(pairs)
+    if not pairs:
+        raise InvalidDimension("need at least one variance pair")
+    for v_small, v_large in pairs:
+        if not 0.0 <= v_small <= v_large:
+            raise InvalidDimension(f"need 0 <= v_small <= v_large, got {v_small}, {v_large}")
     if n_mc < 2:
         raise InvalidDimension("need at least two Monte Carlo samples")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    z_lat = standard_normals(rng, n_mc)
-    xi = standard_normals(rng, n_mc)
-    sig = sigmoid(z_lat)
+    variances = sorted({v for pair in pairs for v in pair})
+    index = {v: i for i, v in enumerate(variances)}
+    pair_index = [(index[a], index[b]) for a, b in pairs]
+    # Running means of the loss at each variance, then of each pair's paired
+    # difference; m2 (sums of squared deviations) is read for the differences.
+    mean = np.zeros(len(variances) + len(pairs))
+    m2 = np.zeros_like(mean)
 
-    def conditional_loss(z: np.ndarray) -> np.ndarray:
-        return -sig * z + stable_softplus(z)
+    z_rng = np.random.Generator(np.random.Philox(key=seed))
+    xi_bits = np.random.Philox(key=seed)
+    # advance() counts blocks of four draws; the remainder is drawn off.
+    xi_bits.advance(n_mc // 4)
+    xi_bits.random_raw(n_mc % 4)
+    xi_rng = np.random.Generator(xi_bits)
+    for start in range(0, n_mc, _MC_BLOCK_ROWS):
+        rows = min(_MC_BLOCK_ROWS, n_mc - start)
+        z_lat = standard_normals(z_rng, rows)
+        xi = standard_normals(xi_rng, rows)
+        sig = sigmoid(z_lat)
+        losses = np.empty((len(variances), rows))
+        for i, v in enumerate(variances):
+            z = c * z_lat + np.sqrt(v) * xi
+            np.add(-sig * z, stable_softplus(z), out=losses[i])
+        b_mean = np.empty_like(mean)
+        b_m2 = np.zeros_like(m2)
+        b_mean[: len(variances)] = losses.mean(axis=1)
+        for r, (i, j) in enumerate(pair_index, start=len(variances)):
+            diff = losses[j] - losses[i]
+            b_mean[r] = diff.mean()
+            diff -= b_mean[r]
+            b_m2[r] = np.square(diff, out=diff).sum()
+        # Merge this block's moments into those of the first ``start`` rows.
+        delta = b_mean - mean
+        mean += delta * (rows / (start + rows))
+        m2 += b_m2 + delta * delta * (start * rows / (start + rows))
 
-    small = conditional_loss(c * z_lat + np.sqrt(v_small) * xi)
-    large = conditional_loss(c * z_lat + np.sqrt(v_large) * xi)
-    diff = large - small
-    return NoiseComparison(
-        loss_small=float(np.mean(small)),
-        loss_large=float(np.mean(large)),
-        std_error=float(np.std(diff, ddof=1) / np.sqrt(n_mc)),
-    )
+    se = np.sqrt(m2[len(variances):] / (n_mc - 1)) / np.sqrt(n_mc)
+    return [
+        NoiseComparison(
+            loss_small=float(mean[i]), loss_large=float(mean[j]), std_error=float(s)
+        )
+        for (i, j), s in zip(pair_index, se)
+    ]
 
 
 def predicted_excess_curve(k: int, passes) -> np.ndarray:

@@ -331,6 +331,11 @@ class TestVerify:
             "orthogonality", "decomposition", "pinsker", "monotone_loss",
             "coefficient_closed_form", "scaling_factor_range", "noise_monotonicity",
         }
+        printed = [line.split()[1] for line in out.splitlines() if line.startswith("PASS")]
+        assert printed == [
+            "orthogonality:", "decomposition:", "pinsker:", "monotone_loss:",
+            "coefficient_closed_form:", "scaling_factor_range:", "noise_monotonicity:",
+        ]
 
     def test_loose_gradient_tolerance_fails_decomposition(self, tmp_path, capsys):
         cfg = _write_config(

@@ -1,6 +1,7 @@
 """Hard-instance generator and lower-bound closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,15 @@ from nia import (
     sigmoid,
     sigmoid_moment,
 )
-from nia.instances import _hermite_nodes, gauss_hermite_expectation, numeric_pass_coefficients
+from nia.experiments import NOISE_VARIANCE_PAIRS
+from nia.instances import (
+    _hermite_nodes,
+    _uniform_open,
+    gauss_hermite_expectation,
+    numeric_pass_coefficients,
+    standard_normals,
+)
+from nia.logistic import stable_softplus
 
 
 class TestGenerator:
@@ -74,6 +83,19 @@ class TestGenerator:
             predicted = float(sigmoid(np.mean(zk[chunk])))
             worst = max(worst, abs(observed - predicted))
         assert worst <= 0.01
+
+    def test_largest_uniform_stays_below_one(self):
+        class Stub:
+            def random(self, shape):
+                return np.full(shape, self.value)
+
+        stub = Stub()
+        stub.value = 1.0 - 2.0 ** -53  # the largest draw of Generator.random
+        assert np.all(_uniform_open(stub, 3) < 1.0)
+        assert np.all(np.isfinite(standard_normals(stub, 3)))
+        for value in (0.0, 0.5, 0.75 + 2.0 ** -53, 1.0 - 2.0 ** -52):
+            stub.value = value
+            assert _uniform_open(stub, 1)[0] == value + 2.0 ** -54
 
 
 class TestRelevanceSet:
@@ -206,19 +228,71 @@ class TestOptimalScalingFactor:
             cached_w[0] = 0.0
 
 
+def _full_array_noise_check(c, v_small, v_large, n_mc, seed):
+    """Reference: the whole-array algorithm, (Z, xi) drawn as two full
+    arrays and each mean and standard deviation taken over all samples."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    z_lat = standard_normals(rng, n_mc)
+    xi = standard_normals(rng, n_mc)
+    sig = sigmoid(z_lat)
+
+    def conditional_loss(z):
+        return -sig * z + stable_softplus(z)
+
+    small = conditional_loss(c * z_lat + np.sqrt(v_small) * xi)
+    large = conditional_loss(c * z_lat + np.sqrt(v_large) * xi)
+    return (
+        float(np.mean(small)),
+        float(np.mean(large)),
+        float(np.std(large - small, ddof=1) / np.sqrt(n_mc)),
+    )
+
+
 class TestNoiseMonotonicity:
+    @pytest.mark.parametrize("n_mc", [2, 3, 65537, 200003])
+    def test_blocks_match_full_arrays(self, n_mc):
+        pairs = [*NOISE_VARIANCE_PAIRS, (0.25, 1.0)]
+        for (v_small, v_large), cmp in zip(pairs, noise_monotonicity_check(0.8, pairs, n_mc, 4)):
+            small, large, se = _full_array_noise_check(0.8, v_small, v_large, n_mc, 4)
+            assert cmp.loss_small == pytest.approx(small, rel=1e-14, abs=0)
+            assert cmp.loss_large == pytest.approx(large, rel=1e-14, abs=0)
+            assert cmp.std_error == pytest.approx(se, rel=1e-12, abs=0)
+
+    def test_equal_variances_exact_across_blocks(self):
+        pairs = [(0.5, 0.5), (0.0, 0.5), (1.0, 1.0)]
+        same, rising, top = noise_monotonicity_check(0.8, pairs, 70_000, seed=5)
+        assert same.loss_small == same.loss_large == rising.loss_large
+        assert top.loss_small == top.loss_large
+        assert same.std_error == 0.0 and top.std_error == 0.0
+        assert rising.std_error > 0.0
+
+    @pytest.mark.parametrize("pairs", [[], [(0.0, 0.5), (1.0, 0.5)], [(-0.5, 0.5)]])
+    def test_empty_or_decreasing_pairs_rejected(self, pairs):
+        with pytest.raises(InvalidDimension):
+            noise_monotonicity_check(0.8, pairs, 100, seed=0)
+
+    def test_memory_does_not_grow_with_samples(self):
+        tracemalloc.start()
+        try:
+            noise_monotonicity_check(0.8, NOISE_VARIANCE_PAIRS, 1_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A whole-array run holds several 8 MB arrays at once.
+        assert peak < 8_000_000
+
     def test_equal_variances_equal_losses(self):
-        cmp = noise_monotonicity_check(1.0, 0.5, 0.5, 10_000, seed=1)
+        cmp = noise_monotonicity_check(1.0, [(0.5, 0.5)], 10_000, seed=1)[0]
         assert cmp.loss_small == cmp.loss_large
         assert cmp.std_error == 0.0
 
     def test_noise_increases_loss(self):
-        cmp = noise_monotonicity_check(0.8, 0.25, 1.0, 200_000, seed=2)
+        cmp = noise_monotonicity_check(0.8, [(0.25, 1.0)], 200_000, seed=2)[0]
         assert cmp.loss_small < cmp.loss_large
         assert cmp.margin_se > 3.0
 
     def test_zero_noise_unit_scale_recovers_bayes_loss(self):
-        cmp = noise_monotonicity_check(1.0, 0.0, 1.0, 1_000_000, seed=3)
+        cmp = noise_monotonicity_check(1.0, [(0.0, 1.0)], 1_000_000, seed=3)[0]
         bayes = _quad_expectation(
             lambda z: -sigmoid(z) * z + math.log1p(math.exp(-abs(z))) + max(z, 0.0), 1.0
         )
@@ -227,12 +301,12 @@ class TestNoiseMonotonicity:
 
     def test_invalid_variances_rejected(self):
         with pytest.raises(InvalidDimension):
-            noise_monotonicity_check(1.0, 1.0, 0.5, 100, seed=0)
+            noise_monotonicity_check(1.0, [(1.0, 0.5)], 100, seed=0)[0]
 
     @pytest.mark.parametrize("c", [float("nan"), float("inf")])
     def test_non_finite_scale_rejected(self, c):
         with pytest.raises(InvalidDimension, match="finite"):
-            noise_monotonicity_check(c, 0.5, 1.0, 100, seed=0)
+            noise_monotonicity_check(c, [(0.5, 1.0)], 100, seed=0)[0]
 
 
 class TestPredictedExcessCurve:
