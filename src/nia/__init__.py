@@ -16,6 +16,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidConfig,
     InvalidDimension,
+    InvalidGraph,
     LengthMismatch,
     MissingParent,
     NiaError,
@@ -82,6 +83,7 @@ __all__ = [
     "IndexOutOfRange",
     "InvalidConfig",
     "InvalidDimension",
+    "InvalidGraph",
     "LengthMismatch",
     "MissingParent",
     "NiaError",

@@ -13,6 +13,10 @@ class IndexOutOfRange(NiaError):
     """An agent id or feature index lies outside its declared range."""
 
 
+class InvalidGraph(NiaError):
+    """An agent graph or its file description is malformed."""
+
+
 class NotAPath(NiaError):
     """An operation restricted to simple paths received a non-path graph."""
 

@@ -6,7 +6,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import CycleDetected, IndexOutOfRange, InvalidDimension, NotAPath
+from .errors import CycleDetected, IndexOutOfRange, InvalidDimension, InvalidGraph, NotAPath
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,9 @@ def build_agent_graph(
 
     ``edges`` are (parent id, child id) pairs; the number of agents is the
     length of ``feature_sets``. Parents are kept in the order their edges
-    appear. Raises CycleDetected on cyclic edge relations and IndexOutOfRange
-    for agent ids outside 1..N or feature indices outside 1..d.
+    appear. Raises CycleDetected on cyclic edge relations, IndexOutOfRange
+    for agent ids outside 1..N or feature indices outside 1..d, and
+    InvalidGraph on a repeated edge.
     """
     sets: list[frozenset[int]] = []
     for i, s in enumerate(feature_sets, start=1):
@@ -98,7 +99,7 @@ def build_agent_graph(
         if parent == child:
             raise CycleDetected(f"self-loop on agent {parent}")
         if (parent, child) in seen:
-            raise ValueError(f"duplicate edge ({parent}, {child})")
+            raise InvalidGraph(f"duplicate edge ({parent}, {child})")
         seen.add((parent, child))
         parents[child - 1].append(parent)
 

@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .data import Dataset
-from .errors import NiaError
+from .errors import InvalidGraph, NiaError
 from .graph import AgentGraph, build_agent_graph
 from .protocol import ProtocolTrace
 
@@ -104,8 +104,10 @@ def read_dataset_file(path: str) -> Dataset:
         raw = fh.read()
     if raw[:4] != DATASET_MAGIC:
         raise NiaError(f"{path}: bad magic, not a dataset file")
-    n, d = struct.unpack_from("<QQ", raw, 4)
     offset = 4 + 16
+    if len(raw) < offset:
+        raise NiaError(f"{path}: truncated dataset file ({len(raw)} bytes, expected at least {offset})")
+    n, d = struct.unpack_from("<QQ", raw, 4)
     expected = offset + 8 * n * d + n
     if len(raw) != expected:
         raise NiaError(f"{path}: truncated dataset file ({len(raw)} bytes, expected {expected})")
@@ -128,18 +130,40 @@ def graph_to_json_obj(graph: AgentGraph, d: int) -> dict:
     }
 
 
+def _json_int(value, where: str) -> int:
+    # Read as config integers are, through int(), so "2" and 2.0 are 2; a
+    # fractional number is an error rather than truncated.
+    if not (isinstance(value, float) and not value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InvalidGraph(f"{where} must be an integer, got {value!r}")
+
+
+def _json_ints(value, where: str) -> list[int]:
+    if not isinstance(value, list):
+        raise InvalidGraph(f"{where} must be a JSON list, got {value!r}")
+    return [_json_int(x, where) for x in value]
+
+
 def graph_from_json_obj(obj: dict) -> tuple[AgentGraph, int]:
+    """Graph and feature count ``d`` from a parsed graph file; a malformed
+    description raises a NiaError (InvalidGraph, or the graph checks' own
+    errors)."""
     try:
-        d = int(obj["d"])
+        d = _json_int(obj["d"], "d")
         agents = obj["agents"]
-        by_id = {int(a["id"]): a for a in agents}
+        by_id = {_json_int(a["id"], "agent id"): a for a in agents}
         n = len(agents)
         if sorted(by_id) != list(range(1, n + 1)):
-            raise NiaError("graph file must use consecutive agent ids 1..N")
-        feature_sets = [by_id[i]["features"] for i in range(1, n + 1)]
-        edges = [(int(p), i) for i in range(1, n + 1) for p in by_id[i]["parents"]]
+            raise InvalidGraph("graph file must use consecutive agent ids 1..N")
+        feature_sets = [_json_ints(by_id[i]["features"], f"agent {i} features") for i in range(1, n + 1)]
+        edges = [
+            (p, i) for i in range(1, n + 1) for p in _json_ints(by_id[i]["parents"], f"agent {i} parents")
+        ]
     except (KeyError, TypeError) as exc:
-        raise NiaError(f"malformed graph description: {exc}") from exc
+        raise InvalidGraph(f"malformed graph description: {exc}") from exc
     return build_agent_graph(edges, feature_sets, d), d
 
 
@@ -149,7 +173,11 @@ def write_graph_file(path: str, graph: AgentGraph, d: int) -> None:
 
 def read_graph_file(path: str) -> tuple[AgentGraph, int]:
     with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json_obj(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise InvalidGraph(f"{path}: {exc}") from exc
+    return graph_from_json_obj(obj)
 
 
 def trace_csv_rows(trace: ProtocolTrace) -> list[dict]:
@@ -209,5 +237,10 @@ def write_logit_dump(path: str, trace: ProtocolTrace) -> None:
 def read_logit_dump(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < 16:
+        raise NiaError(f"{path}: logit dump has {len(raw)} bytes, expected at least 16")
     n, depth = struct.unpack_from("<QQ", raw, 0)
+    expected = 16 + 8 * n * depth
+    if len(raw) != expected:
+        raise NiaError(f"{path}: logit dump has {len(raw)} bytes, expected {expected}")
     return np.frombuffer(raw, dtype="<f8", count=n * depth, offset=16).reshape(n, depth)

@@ -228,6 +228,49 @@ class TestRun:
         assert "graph.m must be >= 1" in capsys.readouterr().err
         assert fits == []
 
+    @pytest.mark.parametrize(
+        "d, second_agent, message",
+        [
+            (2, {"id": 2, "features": [2], "parents": [1, 1]}, "duplicate edge (1, 2)"),
+            ("two", {"id": 2, "features": [2], "parents": [1]}, "d must be an integer"),
+            (2, {"id": "b", "features": [2], "parents": [1]}, "agent id must be an integer"),
+            (2, {"id": 2, "features": 1, "parents": [1]}, "agent 2 features must be a JSON list"),
+            (2, {"id": 2, "features": [1.7], "parents": [1]}, "agent 2 features must be an integer"),
+        ],
+        ids=["duplicate-parent", "text-d", "text-id", "scalar-features", "fractional-feature"],
+    )
+    def test_malformed_graph_file_exits_2(self, tmp_path, capsys, d, second_agent, message):
+        graph = {"d": d, "agents": [{"id": 1, "features": [1], "parents": []}, second_agent]}
+        self._graph_file_exits_2(tmp_path, capsys, json.dumps(graph), message)
+
+    def test_graph_file_not_json_exits_2(self, tmp_path, capsys):
+        self._graph_file_exits_2(tmp_path, capsys, '{"d": 2, "agents": [', "Expecting value")
+
+    @staticmethod
+    def _graph_file_exits_2(tmp_path, capsys, text, message):
+        (tmp_path / "graph.json").write_text(text)
+        cfg = _write_config(
+            tmp_path,
+            {"instance": {"kind": "hard", "k": 2, "n": 100, "seeds": [1]},
+             "graph": {"file": "graph.json"},
+             "out_dir": "out"},
+        )
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_dataset_file_shorter_than_header_exits_2(self, tmp_path, capsys):
+        (tmp_path / "short.nia").write_bytes(b"NIA1" + b"\0" * 10)
+        cfg = _write_config(
+            tmp_path,
+            {"instance": {"kind": "file", "dataset": "short.nia"},
+             "graph": {"cyclic_depth": 2},
+             "out_dir": "out"},
+        )
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "truncated dataset file" in err
+
     def test_run_without_graph_fails_cleanly(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {"instance": {"kind": "hard", "k": 2, "n": 100}})
         assert main(["run", "--config", cfg]) == 2

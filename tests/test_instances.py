@@ -1,11 +1,14 @@
 """Hard-instance generator and lower-bound closed forms."""
 
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import nia.instances
 from nia import (
@@ -24,6 +27,7 @@ from nia import (
 )
 from nia.experiments import NOISE_VARIANCE_PAIRS
 from nia.instances import (
+    DEFAULT_QUADRATURE_NODES,
     _hermite_nodes,
     _uniform_open,
     gauss_hermite_expectation,
@@ -202,6 +206,32 @@ class TestOptimalScalingFactor:
         monkeypatch.setattr(nia.instances, "scaling_gradient", counted)
         optimal_scaling_factor(p)
         assert len(calls) <= 15
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 8, 16, 64])
+    def test_root_matches_brent(self, p):
+        # Brent's method to the same absolute width is the reference; the
+        # package itself does not import scipy.optimize.
+        reference = brentq(scaling_gradient, 0.0, 1.0, args=(p, DEFAULT_QUADRATURE_NODES), xtol=1e-12)
+        assert abs(optimal_scaling_factor(p) - reference) <= 1e-12
+
+    def test_linear_gradient_root(self, monkeypatch):
+        monkeypatch.setattr(nia.instances, "scaling_gradient", lambda c, p, nodes: c - 0.25)
+        assert abs(optimal_scaling_factor(2) - 0.25) <= 1e-15
+
+    def test_verify_does_not_import_scipy_optimize(self):
+        script = (
+            "import sys\n"
+            "import nia\n"
+            "from nia.config import parse_config\n"
+            "from nia.experiments import verify_experiment\n"
+            "nia.optimal_scaling_factor(4)\n"
+            "verify = {'seed': 1, 'k': 3, 'depth': 4, 'n_protocol': 2000, 'n_decomposition': 2000,\n"
+            "          'pinsker_trials': 500, 'noise_samples': 20000}\n"
+            "assert verify_experiment(parse_config({'verify': verify}))['all_passed']\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_sigmoid_moment_increasing(self):
         grid = [0.5, 1.0, 1.5, 2.0, 3.0]

@@ -84,6 +84,14 @@ class TestDatasetFormat:
         with pytest.raises(NiaError):
             read_dataset_file(str(path))
 
+    @pytest.mark.parametrize("length", [4, 12, 19])
+    def test_shorter_than_header_rejected(self, small_dataset, tmp_path, length):
+        path = tmp_path / "cut.nia"
+        write_dataset_file(str(path), small_dataset)
+        path.write_bytes(path.read_bytes()[:length])
+        with pytest.raises(NiaError, match="truncated dataset file"):
+            read_dataset_file(str(path))
+
     def test_sha256_matches_content(self, small_dataset, tmp_path):
         import hashlib
 
@@ -169,6 +177,19 @@ class TestTraceAndScanCsv:
         monkeypatch.setattr(nia.io, "LOGIT_DUMP_BLOCK_ROWS", 7)
         write_logit_dump(str(tmp_path / "blocks.bin"), trace)
         assert (tmp_path / "blocks.bin").read_bytes() == (tmp_path / "one_block.bin").read_bytes()
+
+    @pytest.mark.parametrize(
+        "cut",
+        [lambda raw: raw[:0], lambda raw: raw[:15], lambda raw: raw[:-3], lambda raw: raw + b"\0"],
+        ids=["empty", "inside-header", "inside-matrix", "extra-byte"],
+    )
+    def test_logit_dump_of_wrong_length_rejected(self, small_dataset, tmp_path, cut):
+        trace = run_protocol(small_dataset, cyclic_path_assignment(3, 4))
+        path = tmp_path / "logits.bin"
+        write_logit_dump(str(path), trace)
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(NiaError, match="logit dump has"):
+            read_logit_dump(str(path))
 
     def test_logit_dump_of_streaming_run_rejected(self, small_dataset, tmp_path):
         trace = run_protocol(small_dataset, cyclic_path_assignment(3, 4), keep_logits=False)
