@@ -60,6 +60,18 @@ class AgentGraph:
         )
 
 
+def checked_int(value, where: str) -> int:
+    """``int(value)``, so "2", 2.0 and numpy integers are 2; a fractional
+    number raises InvalidGraph naming it rather than being truncated."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or (not isinstance(value, (str, bytes)) and out != value):
+        raise InvalidGraph(f"{where} must be an integer, got {value!r}")
+    return out
+
+
 class CoverageResult(NamedTuple):
     ok: bool
     first_violation: int | None
@@ -76,11 +88,11 @@ def build_agent_graph(
     length of ``feature_sets``. Parents are kept in the order their edges
     appear. Raises CycleDetected on cyclic edge relations, IndexOutOfRange
     for agent ids outside 1..N or feature indices outside 1..d, and
-    InvalidGraph on a repeated edge.
+    InvalidGraph on a repeated edge or a fractional id or index.
     """
     sets: list[frozenset[int]] = []
     for i, s in enumerate(feature_sets, start=1):
-        fs = frozenset(int(x) for x in s)
+        fs = frozenset(checked_int(x, f"agent {i} feature index") for x in s)
         bad = [x for x in fs if not 1 <= x <= d]
         if bad:
             raise IndexOutOfRange(f"agent {i}: feature indices {sorted(bad)} outside 1..{d}")
@@ -92,7 +104,7 @@ def build_agent_graph(
     parents: list[list[int]] = [[] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
     for parent, child in edges:
-        parent, child = int(parent), int(child)
+        parent, child = checked_int(parent, "edge end"), checked_int(child, "edge end")
         for a in (parent, child):
             if not 1 <= a <= n:
                 raise IndexOutOfRange(f"agent id {a} outside 1..{n}")

@@ -64,23 +64,22 @@ def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
 def generate_hard_instance(spec: HardInstanceSpec) -> Dataset:
     """Sample the chained-latent dataset for ``spec``.
 
-    Draw order is fixed (first the n x k latent block, then n label
+    Draw order is fixed (first the n x k latent block Z, then n label
     uniforms) on a Philox stream keyed by the seed, so bytes are reproducible
-    from (seed, k, n) across platforms.
+    from (seed, k, n) across platforms. Z is differenced into the features in
+    place, so only the features and labels are returned; the latents are
+    ``standard_normals`` of the stream's first n x k uniforms.
     """
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    latents = standard_normals(rng, (spec.n, spec.k))
-    features = np.empty_like(latents)
-    features[:, 0] = latents[:, 0]
-    features[:, 1:] = latents[:, 1:] - latents[:, :-1]
-    optimal = latents[:, -1]
-    labels = (_uniform_open(rng, spec.n) < sigmoid(optimal)).astype(np.float64)
-    return Dataset(
-        features=features,
-        labels=labels,
-        latents=latents,
-        optimal_logits=optimal,
-    )
+    features = standard_normals(rng, (spec.n, spec.k))
+    prob = sigmoid(features[:, -1])
+    # Last column first, so each difference still reads Z_{i-1}.
+    for i in range(spec.k - 1, 0, -1):
+        features[:, i] -= features[:, i - 1]
+    u = _uniform_open(rng, spec.n)
+    # 0.0/1.0 labels, written over the uniforms they come from.
+    labels = np.less(u, prob, out=u)
+    return Dataset(features=features, labels=labels)
 
 
 def relevance_set(k: int, p: int) -> frozenset[int]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InvalidGraph, NiaError
-from .graph import AgentGraph, build_agent_graph
+from .graph import AgentGraph, build_agent_graph, checked_int
 from .protocol import ProtocolTrace
 
 DATASET_MAGIC = b"NIA1"
@@ -100,19 +100,23 @@ def write_dataset_file(path: str, dataset: Dataset) -> None:
 
 
 def read_dataset_file(path: str) -> Dataset:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != DATASET_MAGIC:
-        raise NiaError(f"{path}: bad magic, not a dataset file")
+    """Dataset of a binary dataset file; the header and the file size are
+    checked before anything is allocated, and the features are read straight
+    into the array the dataset keeps."""
     offset = 4 + 16
-    if len(raw) < offset:
-        raise NiaError(f"{path}: truncated dataset file ({len(raw)} bytes, expected at least {offset})")
-    n, d = struct.unpack_from("<QQ", raw, 4)
-    expected = offset + 8 * n * d + n
-    if len(raw) != expected:
-        raise NiaError(f"{path}: truncated dataset file ({len(raw)} bytes, expected {expected})")
-    feats = np.frombuffer(raw, dtype="<f8", count=n * d, offset=offset).reshape(n, d)
-    labels = np.frombuffer(raw, dtype=np.uint8, count=n, offset=offset + 8 * n * d)
+    with open(path, "rb") as fh:
+        head = fh.read(offset)
+        if head[:4] != DATASET_MAGIC:
+            raise NiaError(f"{path}: bad magic, not a dataset file")
+        size = os.fstat(fh.fileno()).st_size
+        if len(head) < offset:
+            raise NiaError(f"{path}: truncated dataset file ({size} bytes, expected at least {offset})")
+        n, d = struct.unpack_from("<QQ", head, 4)
+        expected = offset + 8 * n * d + n
+        if size != expected:
+            raise NiaError(f"{path}: truncated dataset file ({size} bytes, expected {expected})")
+        feats = np.fromfile(fh, dtype="<f8", count=n * d).reshape(n, d)
+        labels = np.fromfile(fh, dtype=np.uint8, count=n)
     return Dataset(features=feats, labels=labels)
 
 
@@ -130,21 +134,10 @@ def graph_to_json_obj(graph: AgentGraph, d: int) -> dict:
     }
 
 
-def _json_int(value, where: str) -> int:
-    # Read as config integers are, through int(), so "2" and 2.0 are 2; a
-    # fractional number is an error rather than truncated.
-    if not (isinstance(value, float) and not value.is_integer()):
-        try:
-            return int(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise InvalidGraph(f"{where} must be an integer, got {value!r}")
-
-
 def _json_ints(value, where: str) -> list[int]:
     if not isinstance(value, list):
         raise InvalidGraph(f"{where} must be a JSON list, got {value!r}")
-    return [_json_int(x, where) for x in value]
+    return [checked_int(x, where) for x in value]
 
 
 def graph_from_json_obj(obj: dict) -> tuple[AgentGraph, int]:
@@ -152,9 +145,9 @@ def graph_from_json_obj(obj: dict) -> tuple[AgentGraph, int]:
     description raises a NiaError (InvalidGraph, or the graph checks' own
     errors)."""
     try:
-        d = _json_int(obj["d"], "d")
+        d = checked_int(obj["d"], "d")
         agents = obj["agents"]
-        by_id = {_json_int(a["id"], "agent id"): a for a in agents}
+        by_id = {checked_int(a["id"], "agent id"): a for a in agents}
         n = len(agents)
         if sorted(by_id) != list(range(1, n + 1)):
             raise InvalidGraph("graph file must use consecutive agent ids 1..N")

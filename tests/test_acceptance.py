@@ -42,7 +42,7 @@ from nia.experiments import (
     scaling_factor_suite,
     verify_experiment,
 )
-from nia.instances import gauss_hermite_expectation
+from nia.instances import gauss_hermite_expectation, standard_normals
 
 K = 4
 N_SCALING = 200_000
@@ -87,7 +87,11 @@ def scaling_runs():
         if seed == 1:
             seed_one = {
                 "features": ds.features,
-                "zk": ds.latents[:, -1],
+                # Z_k, rebuilt from the generator's stream: its first n x k
+                # draws are the latent block.
+                "zk": standard_normals(
+                    np.random.Generator(np.random.Philox(key=seed)), (N_SCALING, K)
+                )[:, -1],
                 "logits": {p: trace.logits[K * p] for p in (1, 2, 3)},
                 # Agent K holds one feature, then its parent weight.
                 "agent_k_v_norm": float(np.linalg.norm(trace.models[K].weights[1:])),

@@ -1,9 +1,9 @@
-"""Dataset container: validation of features, labels and latent columns."""
+"""Dataset container: validation and storage of features and labels."""
 
 import numpy as np
 import pytest
 
-from nia import Dataset, HardInstanceSpec, NonFinite, generate_hard_instance
+from nia import Dataset, NonFinite
 from nia.data import _CHECK_BLOCK_ROWS
 
 
@@ -18,10 +18,15 @@ class TestFiniteness:
         with pytest.raises(NonFinite, match="non-finite"):
             Dataset(features=features, labels=np.zeros(self.ROWS))
 
-    @pytest.mark.parametrize("row", [0, ROWS - 1])
-    def test_non_finite_feature_with_latents(self, row):
-        ds = generate_hard_instance(HardInstanceSpec(k=3, n=self.ROWS, seed=1))
-        features = ds.features.copy()
-        features[row, 0] = np.nan
-        with pytest.raises(NonFinite, match="non-finite"):
-            Dataset(features=features, labels=ds.labels, latents=ds.latents)
+
+class TestStorage:
+    def test_float64_c_order_arrays_kept_without_copy(self):
+        features = np.zeros((5, 2))
+        labels = np.ones(5)
+        ds = Dataset(features=features, labels=labels)
+        assert np.shares_memory(ds.features, features)
+        assert np.shares_memory(ds.labels, labels)
+        assert not ds.features.flags.writeable
+        assert not ds.labels.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ds.features[0, 0] = 1.0

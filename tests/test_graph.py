@@ -7,6 +7,7 @@ from nia import (
     CycleDetected,
     IndexOutOfRange,
     InvalidDimension,
+    InvalidGraph,
     NotAPath,
     build_agent_graph,
     check_m_coverage,
@@ -47,6 +48,23 @@ class TestBuildAgentGraph:
             build_agent_graph([], [{3}], d=2)
         with pytest.raises(IndexOutOfRange):
             build_agent_graph([], [{0}], d=2)
+
+    @pytest.mark.parametrize(
+        "edges, sets, value",
+        [
+            ([(1.9, 2)], [{1}, {2}], "1.9"),
+            ([(1, 2)], [{1.7}, {2}], "1.7"),
+            ([(1, 2)], [{1}, {np.float32(1.5)}], "1.5"),
+        ],
+    )
+    def test_fractional_ids_and_indices_rejected(self, edges, sets, value):
+        with pytest.raises(InvalidGraph, match=value):
+            build_agent_graph(edges, sets, d=2)
+
+    def test_integral_floats_and_numpy_integers_accepted(self):
+        g = build_agent_graph([(np.int64(1), 2.0)], [{1.0}, {np.int32(2)}], d=2)
+        assert g.feature_sets == (frozenset({1}), frozenset({2}))
+        assert g.parents_of(2) == (1,)
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError):

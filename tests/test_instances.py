@@ -37,19 +37,27 @@ from nia.instances import (
 from nia.logistic import stable_softplus
 
 
+def _latents(spec: HardInstanceSpec) -> np.ndarray:
+    """The generator's n x k latent block Z, rebuilt from the first draws of
+    its documented stream."""
+    return standard_normals(np.random.Generator(np.random.Philox(key=spec.seed)), (spec.n, spec.k))
+
+
 class TestGenerator:
     def test_differencing_map(self):
-        ds = generate_hard_instance(HardInstanceSpec(k=2, n=500, seed=1))
-        z = ds.latents
+        spec = HardInstanceSpec(k=2, n=500, seed=1)
+        ds = generate_hard_instance(spec)
+        z = _latents(spec)
         assert np.array_equal(ds.features[:, 0], z[:, 0])
         assert np.allclose(ds.features[:, 1], z[:, 1] - z[:, 0], rtol=0, atol=0)
-        assert np.array_equal(ds.optimal_logits, z[:, 1])
 
     def test_prefix_sums_recover_every_latent(self):
-        ds = generate_hard_instance(HardInstanceSpec(k=5, n=2000, seed=2))
+        spec = HardInstanceSpec(k=5, n=2000, seed=2)
+        ds = generate_hard_instance(spec)
+        z = _latents(spec)
         prefix = np.cumsum(ds.features, axis=1)
-        scale = np.maximum(1.0, np.abs(ds.latents))
-        assert np.max(np.abs(prefix - ds.latents) / scale) <= 1e-12
+        scale = np.maximum(1.0, np.abs(z))
+        assert np.max(np.abs(prefix - z) / scale) <= 1e-12
 
     def test_labels_binary(self):
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=1000, seed=3))
@@ -78,8 +86,9 @@ class TestGenerator:
         assert np.max(np.abs(variances[1:] - 2.0)) <= 0.01
 
     def test_label_law_in_equal_mass_bins(self):
-        ds = generate_hard_instance(HardInstanceSpec(k=4, n=1_000_000, seed=5))
-        zk = ds.latents[:, -1]
+        spec = HardInstanceSpec(k=4, n=1_000_000, seed=5)
+        ds = generate_hard_instance(spec)
+        zk = _latents(spec)[:, -1]
         order = np.argsort(zk)
         worst = 0.0
         for chunk in np.array_split(order, 20):
@@ -87,6 +96,19 @@ class TestGenerator:
             predicted = float(sigmoid(np.mean(zk[chunk])))
             worst = max(worst, abs(observed - predicted))
         assert worst <= 0.01
+
+    def test_memory_is_features_and_labels(self):
+        tracemalloc.start()
+        try:
+            ds = generate_hard_instance(HardInstanceSpec(k=8, n=100_000, seed=1))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        data = ds.features.nbytes + ds.labels.nbytes
+        # Z is differenced into the features in place, so only label-length
+        # temporaries come on top; a separate latent block would double it.
+        assert peak <= 1.5 * data
+        assert kept <= 1.05 * data
 
     def test_largest_uniform_stays_below_one(self):
         class Stub:

@@ -1,6 +1,7 @@
 """File formats and configuration validation."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -91,6 +92,19 @@ class TestDatasetFormat:
         path.write_bytes(path.read_bytes()[:length])
         with pytest.raises(NiaError, match="truncated dataset file"):
             read_dataset_file(str(path))
+
+    def test_read_holds_one_copy_of_the_data(self, tmp_path):
+        path = str(tmp_path / "data.nia")
+        write_dataset_file(path, generate_hard_instance(HardInstanceSpec(k=8, n=100_000, seed=1)))
+        tracemalloc.start()
+        try:
+            ds = read_dataset_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Reading the whole file first, or copying the features out of it,
+        # would hold the features twice.
+        assert peak <= 1.25 * (ds.features.nbytes + ds.labels.nbytes)
 
     def test_sha256_matches_content(self, small_dataset, tmp_path):
         import hashlib
