@@ -25,9 +25,9 @@ from .protocol import ProtocolTrace
 
 DATASET_MAGIC = b"NIA1"
 
-# Rows per block of the logit dump: 0.5 MB per column, so a block stays small
-# next to the columns it is cut from.
-LOGIT_DUMP_BLOCK_ROWS = 1 << 16
+# Rows per block of the logit dump: 64 KB per column (1.6 MB for 25), so a
+# block stays small next to the columns it is cut from.
+LOGIT_DUMP_BLOCK_ROWS = 1 << 13
 
 TRACE_FIELDS = ("agent_id", "topo_pos", "loss", "grad_norm", "converged", "l1_weight_norm")
 

@@ -28,43 +28,47 @@ WEIGHT_NORM_CAP = 1e4
 _ARMIJO_C1 = 1e-4
 _MIN_STEP = 1e-12
 
+# Rows per block of the Hessian sum and of the loss's scratch, so a block's
+# temporaries stay small next to a row-length array.
+_BLOCK_ROWS = 1 << 14
 
-def _softplus_exp(z: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
+
+def _softplus_exp(z: np.ndarray, e: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Write e = exp(-|z|) into ``e`` and softplus(z) = max(z, 0) + log1p(e)
-    into ``out``, with one exponential; returns ``out``.
+    into ``out``, with one exponential and scratch ``work``; returns ``out``.
 
     The sigmoid follows from the same e (``_sigmoid_from_exp``), so a Newton
     iterate needs a single exponential for its loss, gradient and Hessian.
     The identity softplus(z) - softplus(-z) = z holds exactly by branch
     structure.
     """
-    np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
-    return np.add(np.log1p(e, out=out), np.maximum(z, 0.0), out=out)
+    np.exp(np.copysign(z, -1.0, out=e), out=e)
+    return np.add(np.log1p(e, out=out), np.maximum(z, 0.0, out=work), out=out)
 
 
-def _sigmoid_from_exp(z: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write sigmoid(z) into ``out`` (which may be ``e``) given e = exp(-|z|):
-    1 / (1 + e) for z >= 0 and e / (1 + e) below, so neither branch overflows.
+def _sigmoid_from_exp(z: np.ndarray, e: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Write sigmoid(z) into ``out`` (may be ``e``; ``work`` is scratch) given
+    e = exp(-|z|): 1 / (1 + e) for z >= 0, e / (1 + e) below; neither overflows.
 
     The numerator is max(e, [z >= 0]), which equals ``where(z >= 0, 1, e)``
     because e <= 1 (NaN stays NaN) and costs a fraction of the masked select.
     """
-    den = 1.0 + e
-    return np.divide(np.maximum(e, z >= 0, out=out), den, out=out)
+    np.maximum(e, np.greater_equal(z, 0.0, out=work), out=work)
+    return np.divide(work, np.add(e, 1.0, out=out), out=out)
 
 
 def stable_softplus(z):
     """log(1 + exp(z)) without overflow for any finite z, computed as
     max(z, 0) + log1p(exp(-|z|))."""
     z = np.asarray(z, dtype=np.float64)
-    out = _softplus_exp(z, np.empty_like(z), np.empty_like(z))
+    out = _softplus_exp(z, np.empty_like(z), np.empty_like(z), np.empty_like(z))
     return out if out.ndim else float(out)
 
 
 def sigmoid(z):
     """1 / (1 + exp(-z)) evaluated on the non-overflowing branch."""
     z = np.asarray(z, dtype=np.float64)
-    out = _sigmoid_from_exp(z, np.exp(-np.abs(z)), np.empty_like(z))
+    out = _sigmoid_from_exp(z, np.exp(-np.abs(z)), np.empty_like(z), np.empty_like(z))
     return out if out.ndim else float(out)
 
 
@@ -149,8 +153,20 @@ def _ridge_penalty(theta: np.ndarray, ridge: float) -> float:
     return 0.5 * ridge * float(theta @ theta) if ridge > 0 else 0.0
 
 
+@dataclass
+class FitCarry:
+    """The final logits ``design @ weights`` of the last fit given this
+    object, their sigmoid (None if its line search stalled, since the search
+    overwrote that array), its loss and its labels (held, not copied)."""
+
+    logits: np.ndarray | None = None
+    sigmoid: np.ndarray | None = None
+    loss: float = 0.0
+    labels: np.ndarray | None = None
+
+
 def fit_logistic(
-    design, labels, opts: FitOptions | None = None, start=None
+    design, labels, opts: FitOptions | None = None, start=None, carry: FitCarry | None = None
 ) -> FitResult:
     """Minimize empirical BCE over linear logits on the design columns.
 
@@ -175,10 +191,17 @@ def fit_logistic(
     Each iterate costs one exponential over the rows: the line search keeps
     the accepted candidate's loss and exp(-|z|), from which the next
     gradient and Hessian follow. Every iterate's logits are the product
-    ``design @ weights`` itself, not an update of the previous logits, so
-    ``loss`` is bitwise ``bce_loss(design @ result.weights, labels)`` for any
-    float64 design: the fit's loss is the loss of the column a caller
-    publishes.
+    ``design @ weights`` itself (at width 1 one multiply, bitwise the same),
+    not an update of the previous logits, so ``loss`` is bitwise
+    ``bce_loss(design @ result.weights, labels)`` for any float64 design:
+    the fit's loss is the loss of the column a caller publishes.
+
+    A ``carry`` receives the fit's final logits, their sigmoid, its loss and
+    its labels, so a caller can publish those logits as they are. The next
+    fit given it takes the loss and uses the sigmoid array as its own (no
+    copy) when its start logits ``design @ start`` and its labels are bitwise
+    the carried ones, as at pass-through of the column the last fit
+    published; otherwise it evaluates both. Results are bitwise the same.
     """
     opts = opts or FitOptions()
     x = np.asarray(design, dtype=np.float64)
@@ -201,54 +224,56 @@ def fit_logistic(
             raise DimensionMismatch(f"start has {theta.shape[0]} entries, design has {m} columns")
         if not np.isfinite(theta).all():
             raise NonFinite("start contains non-finite values")
-    if m == 0:
-        # No information: predict the prior (zero logits, log 2 loss).
-        return FitResult(
-            weights=np.zeros(0),
-            loss=bce_loss(np.zeros(n), y),
-            grad_norm=0.0,
-            iterations=0,
-            converged=True,
-        )
 
-    # One row per design column, so gradient and Hessian are row-major
-    # products; a transposed view of a C-ordered stack (as ``agent_design``
-    # returns) needs no copy.
-    xt = np.ascontiguousarray(x.T)
-    # Four row-length arrays serve the whole fit, because touching fresh
-    # pages costs about as much as the arithmetic. z and e hold the current
-    # logits and exp(-|z|), zc and ec the line-search candidate's; an
-    # accepted candidate swaps places with the current pair. Between those
-    # uses they are scratch: e turns into the sigmoid p, zc holds p - y and
-    # then the Hessian weights, ec one weighted design row at a time (so no
-    # m x n product is formed), and e the candidate's softplus rows.
-    z = x @ theta
-    e, zc, ec = np.empty(n), np.empty(n), np.empty(n)
+    def product(th: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # A width-1 matmul takes longer than the elementwise multiply.
+        return np.multiply(x[:, 0], th[0], out=out) if m == 1 else np.matmul(x, th, out=out)
 
-    def mean_bce(z: np.ndarray, e: np.ndarray, work: np.ndarray) -> float:
+    def mean_bce(z: np.ndarray, e: np.ndarray, rows: np.ndarray) -> float:
         # Bitwise bce_loss(z, y); fills e with exp(-|z|).
-        rows = _softplus_exp(z, e, work)
-        rows -= y * z
+        for b, work in blocks:
+            _softplus_exp(z[b], e[b], rows[b], work)
+            rows[b] -= np.multiply(y[b], z[b], out=work)
         return float(np.mean(rows))
 
-    loss = mean_bce(z, e, zc)
+    # Four row-length arrays serve the whole fit, because touching fresh
+    # pages costs about as much as the arithmetic; the loss takes its scratch
+    # one row block at a time. z and e hold the current logits and their
+    # sigmoid p, zc and ec the line-search candidate's logits and exp(-|z|);
+    # an accepted candidate swaps places with the current pair. Between those
+    # uses zc is scratch (the sigmoid's, p - y, the Hessian weights) and e
+    # holds the candidate's softplus rows.
+    work = np.empty(min(n, _BLOCK_ROWS))
+    blocks = [(slice(i, i + len(work)), work[: n - i]) for i in range(0, n, len(work))]
+    z = product(theta, np.empty(n))
+    e = None
+    if carry is not None:
+        reuse = carry.sigmoid is not None and np.array_equal(carry.logits, z)
+        if reuse and np.array_equal(carry.labels, y):
+            e, loss = carry.sigmoid, carry.loss
+        carry.logits = carry.sigmoid = None
+    zc, ec = np.empty(n), np.empty(n)
+    if e is None:
+        e = np.empty(n)
+        loss = mean_bce(z, e, zc)
+        _sigmoid_from_exp(z, e, e, zc)
+
     eye = np.eye(m)
+    converged, message = False, "max_iters reached"
     for it in range(opts.max_iters + 1):
-        p = _sigmoid_from_exp(z, e, e)
-        grad = xt @ np.subtract(p, y, out=zc) / n + opts.ridge * theta
-        grad_norm = float(np.max(np.abs(grad)))
+        grad = x.T @ np.subtract(e, y, out=zc) / n + opts.ridge * theta
+        grad_norm = float(np.max(np.abs(grad), initial=0.0))
         if grad_norm <= opts.grad_tol:
-            return FitResult(theta, loss, grad_norm, it, True)
+            converged, message = True, ""
+            break
         if float(np.linalg.norm(theta)) > WEIGHT_NORM_CAP:
-            return FitResult(
-                theta, loss, grad_norm, it, False,
-                message=f"weight norm exceeded {WEIGHT_NORM_CAP:g}; data may be separable",
-            )
+            message = f"weight norm exceeded {WEIGHT_NORM_CAP:g}; data may be separable"
+            break
         if it == opts.max_iters:
             break
 
-        w = np.multiply(p, np.subtract(1.0, p, out=zc), out=zc)
-        hess = np.array([xt @ np.multiply(row, w, out=ec) for row in xt]) / n + opts.ridge * eye
+        w = np.multiply(e, np.subtract(1.0, e, out=zc), out=zc)
+        hess = sum((x[b].T * w[b]) @ x[b] for b, _ in blocks) / n + opts.ridge * eye
         # Minimum-norm step: collinear columns leave the Hessian singular,
         # and lstsq gives the dependent directions no weight.
         step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
@@ -265,20 +290,19 @@ def fit_logistic(
         accepted = False
         while t >= _MIN_STEP:
             cand = theta + t * step
-            np.matmul(x, cand, out=zc)
-            lc = mean_bce(zc, ec, e)
+            lc = mean_bce(product(cand, zc), ec, e)
             if lc + _ridge_penalty(cand, opts.ridge) <= f0 + _ARMIJO_C1 * t * slope + slack:
                 theta, loss = cand, lc
                 z, zc, e, ec = zc, z, ec, e
+                _sigmoid_from_exp(z, e, e, zc)
                 accepted = True
                 break
             t *= opts.backtrack
         if not accepted:
-            return FitResult(
-                theta, loss, grad_norm, it, False,
-                message="line search stalled; Hessian may be singular",
-            )
+            e = None
+            message = "line search stalled; Hessian may be singular"
+            break
 
-    return FitResult(
-        theta, loss, grad_norm, opts.max_iters, False, message="max_iters reached"
-    )
+    if carry is not None:
+        carry.logits, carry.sigmoid, carry.loss, carry.labels = z, e, loss, y
+    return FitResult(theta, loss, grad_norm, it, converged, message)

@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DimensionMismatch, MissingParent, NotConvergedWarning
 from .graph import AgentGraph
-from .logistic import FitOptions, FitResult, fit_logistic
+from .logistic import FitCarry, FitOptions, FitResult, fit_logistic
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def agent_design(
         cols.append(trace.logits[parent])
     if not cols:
         return np.empty((dataset.n, 0))
-    # Stacked one column per row, so fit_logistic's transpose is a view.
+    # Stacked one column per row, so every design column is contiguous.
     return np.stack(cols).T
 
 
@@ -96,6 +96,11 @@ def run_protocol(
     column no agent reads is never formed, so memory is bounded by the
     graph's frontier instead of n * D. Fits, losses and weights are bitwise
     the same either way; the returned ``logits`` is then empty.
+
+    Each fit leaves its final state in one ``FitCarry`` passed to every fit,
+    and the run publishes the fit's own final logits. An agent starting at
+    pass-through of the column fitted just before it (on a path, every one)
+    reuses that fit's loss and sigmoid; results are bitwise the same.
     """
     opts = opts or FitOptions()
     max_feature = max((max(s) for s in graph.feature_sets if s), default=0)
@@ -107,6 +112,7 @@ def run_protocol(
     # column maps to its last reader; columns nobody reads have no entry.
     last_reader = {p: a for a in graph.topo_order for p in graph.parents_of(a)}
     trace = ProtocolTrace(order=graph.topo_order, models={}, logits={})
+    carry = FitCarry()
     for agent_id in graph.topo_order:
         design = agent_design(dataset, graph, agent_id, trace)
         parents = graph.parents_of(agent_id)
@@ -120,10 +126,10 @@ def run_protocol(
             start = np.zeros(design.shape[1])
             best = np.argmin([trace.models[p].loss for p in parents])
             start[len(graph.feature_set(agent_id)) + int(best)] = 1.0
-        fit = fit_logistic(design, dataset.labels, opts, start)
-        trace.models[agent_id] = fit
+        trace.models[agent_id] = fit_logistic(design, dataset.labels, opts, start, carry)
         if keep_logits or agent_id in last_reader:
-            trace.logits[agent_id] = design @ fit.weights
+            trace.logits[agent_id] = carry.logits
+        del design  # before the next agent's design is built, not after
     return trace
 
 

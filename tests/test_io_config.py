@@ -184,13 +184,18 @@ class TestTraceAndScanCsv:
         assert raw[16:] == np.ascontiguousarray(matrix, dtype="<f8").tobytes()
         assert np.array_equal(read_logit_dump(path), matrix)
 
-    def test_logit_dump_bytes_do_not_depend_on_block_rows(self, small_dataset, tmp_path, monkeypatch):
-        # 64 rows in 7-row blocks: nine full blocks and a partial last one.
-        trace = run_protocol(small_dataset, cyclic_path_assignment(3, 4))
-        write_logit_dump(str(tmp_path / "one_block.bin"), trace)
-        monkeypatch.setattr(nia.io, "LOGIT_DUMP_BLOCK_ROWS", 7)
-        write_logit_dump(str(tmp_path / "blocks.bin"), trace)
-        assert (tmp_path / "blocks.bin").read_bytes() == (tmp_path / "one_block.bin").read_bytes()
+    def test_logit_dump_bytes_do_not_depend_on_block_rows(self, tmp_path, monkeypatch):
+        # 20000 rows in 7-row blocks, in 8192-row blocks (two full ones and a
+        # partial last one) and in one block longer than the columns.
+        n = 20_000
+        ds = generate_hard_instance(HardInstanceSpec(k=3, n=n, seed=1))
+        trace = run_protocol(ds, cyclic_path_assignment(3, 4))
+        matrix = np.column_stack([trace.logits[a] for a in trace.order])
+        want = n.to_bytes(8, "little") + (4).to_bytes(8, "little") + matrix.astype("<f8").tobytes()
+        for rows in (7, 8192, n + 1):
+            monkeypatch.setattr(nia.io, "LOGIT_DUMP_BLOCK_ROWS", rows)
+            write_logit_dump(str(tmp_path / "logits.bin"), trace)
+            assert (tmp_path / "logits.bin").read_bytes() == want, rows
 
     @pytest.mark.parametrize(
         "cut",

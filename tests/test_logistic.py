@@ -1,6 +1,7 @@
 """Stable BCE primitives and the damped-Newton fitter."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from nia import (
     sigmoid,
     stable_softplus,
 )
+from nia.logistic import FitCarry
 
 LOG2 = math.log(2.0)
 
@@ -289,6 +291,20 @@ class TestFitLogistic:
         assert np.array_equal(a.weights, b.weights)
         assert a.loss == b.loss
 
+    def test_global_fit_allocates_less_than_the_features(self):
+        # A transposed copy of a C-ordered design alone would take as much.
+        rng = np.random.default_rng(41)
+        features = rng.normal(size=(100_000, 8))
+        labels = (rng.random(100_000) < sigmoid(features @ np.linspace(-1.0, 1.0, 8))).astype(float)
+        tracemalloc.start()
+        try:
+            fit = fit_logistic(features, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.converged and fit.iterations > 0
+        assert peak < features.nbytes, peak
+
 
 class TestWarmStart:
     @pytest.fixture(scope="class")
@@ -343,6 +359,51 @@ class TestWarmStart:
         design, labels = problem
         with pytest.raises(NonFinite):
             fit_logistic(design, labels, start=[0.0, np.inf, 0.0])
+
+
+def _assert_same_fit(a, b):
+    assert a.weights.tobytes() == b.weights.tobytes()
+    fields = ("loss", "grad_norm", "iterations", "converged")
+    assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+
+
+class TestFitCarry:
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(43)
+        design = rng.normal(size=(3000, 3))
+        labels = (rng.random(3000) < sigmoid(design @ np.array([0.8, -0.4, 0.2]))).astype(float)
+        return design, labels
+
+    @pytest.mark.parametrize("case", ["labels_differ", "start_differs"])
+    def test_not_reused_unless_logits_and_labels_match(self, problem, case):
+        # The carry is left at the logits of a zero-iteration fit's start, and
+        # the next fit starts at its own optimum, so it reports the loss it
+        # starts from: a reused carried loss would be another problem's.
+        design, labels = problem
+        other = 1.0 - labels if case == "labels_differ" else labels
+        optimum = fit_logistic(design, other).weights
+        carry = FitCarry()
+        first_start = optimum if case == "labels_differ" else np.zeros(3)
+        fit_logistic(design, labels, FitOptions(grad_tol=1e3), first_start, carry)
+        assert np.array_equal(carry.logits, design @ first_start)
+        fit = fit_logistic(design, other, start=optimum, carry=carry)
+        assert fit.iterations == 0
+        assert fit.loss == bce_loss(design @ optimum, other)
+        _assert_same_fit(fit, fit_logistic(design, other, start=optimum))
+
+    def test_reused_state_gives_the_same_fit(self, problem):
+        # The second fit starts at pass-through of the first fit's column.
+        design, labels = problem
+        carry = FitCarry()
+        first = fit_logistic(design[:, :2], labels, carry=carry)
+        extended = np.column_stack([design, design[:, :2] @ first.weights])
+        start = [0.0, 0.0, 0.0, 1.0]
+        assert carry.logits.tobytes() == (extended @ start).tobytes()
+        fit = fit_logistic(extended, labels, start=start, carry=carry)
+        assert fit.iterations > 0
+        _assert_same_fit(fit, fit_logistic(extended, labels, start=start))
+        assert carry.logits.tobytes() == (extended @ fit.weights).tobytes()
 
 
 class TestResidualMoments:

@@ -24,6 +24,8 @@ from nia import (
     run_protocol,
     sink_excess_loss,
 )
+import nia.protocol
+from nia.logistic import FitCarry
 from nia.protocol import ProtocolTrace
 
 LOG2 = math.log(2.0)
@@ -39,13 +41,12 @@ def _diamond_dag():
     return build_agent_graph([(1, 2), (1, 3), (2, 4), (3, 4)], [{1}, {2}, {3}, {4}], d=4)
 
 
-def _layered_dag():
-    # 6 layers of 4 agents, agent j of a layer on features {2j-1, 2j},
-    # every agent of a layer a parent of every agent of the next, and a
+def _layered_dag(layers=6, width=4):
+    # Layers of agents, agent j of a layer on features {2j-1, 2j}, every
+    # agent of a layer a parent of every agent of the next, and a
     # featureless sink over the last layer. A parent column is then an
     # exact linear combination of a child's own features plus other
     # parent columns, so the designs are rank-deficient.
-    layers, width = 6, 4
     features = [{2 * j - 1, 2 * j} for _ in range(layers) for j in range(1, width + 1)]
     edges = [
         ((layer - 1) * width + i, layer * width + j)
@@ -55,7 +56,18 @@ def _layered_dag():
     ]
     sink = layers * width + 1
     edges += [(sink - width - 1 + i, sink) for i in range(1, width + 1)]
-    return build_agent_graph(edges, features + [set()], d=8)
+    return build_agent_graph(edges, features + [set()], d=2 * width)
+
+
+def _windowed_path(agents=24, sizes=(1, 3, 5), d=8):
+    # A path of agents observing the next 1, 3 and 5 features in turn
+    # (cyclic), then a featureless sink: designs of widths 1, 2, 4 and 6.
+    features, first = [], 0
+    for i in range(agents):
+        features.append({(first + j) % d + 1 for j in range(sizes[i % len(sizes)])})
+        first += sizes[i % len(sizes)]
+    edges = [(a, a + 1) for a in range(1, agents + 1)]
+    return build_agent_graph(edges, features + [set()], d=d)
 
 
 def _skip_edge_dag():
@@ -270,6 +282,70 @@ class TestStreaming:
             finally:
                 tracemalloc.stop()
         assert peaks[64] - peaks[16] <= 2 * 8 * n, peaks
+
+
+class TestCarriedState:
+    """Carrying each fit's final state to the next fit changes no result."""
+
+    @pytest.mark.parametrize(
+        "k, graph, carried_fits",
+        [
+            (4, cyclic_path_assignment(4, 12), 11),
+            (8, _windowed_path(), 24),
+            (6, _layered_dag(3, 3), None),
+        ],
+        ids=["cyclic_path", "windowed_path", "layered_3x3"],
+    )
+    def test_run_matches_cleared_state_bitwise(self, monkeypatch, k, graph, carried_fits):
+        ds = generate_hard_instance(HardInstanceSpec(k=k, n=20_000, seed=5))
+        reused = []
+
+        def carried(design, labels, opts, start, carry):
+            reused.append(
+                start is not None
+                and carry.sigmoid is not None
+                and np.array_equal(carry.logits, design @ start)
+            )
+            return fit_logistic(design, labels, opts, start, carry)
+
+        def cleared(design, labels, opts, start, carry):
+            carry.sigmoid = None
+            return fit_logistic(design, labels, opts, start, carry)
+
+        monkeypatch.setattr(nia.protocol, "fit_logistic", carried)
+        with_state = run_protocol(ds, graph)
+        monkeypatch.setattr(nia.protocol, "fit_logistic", cleared)
+        without = run_protocol(ds, graph)
+        if carried_fits is None:
+            # Some agent's best parent is not the agent fitted just before it.
+            assert 0 < sum(reused) < len(reused) - 1, reused
+        else:
+            assert sum(reused) == carried_fits
+        for agent in graph.topo_order:
+            a, b = with_state.models[agent], without.models[agent]
+            assert a.weights.tobytes() == b.weights.tobytes(), agent
+            assert (a.loss, a.iterations, a.grad_norm) == (b.loss, b.iterations, b.grad_norm)
+            assert with_state.logits[agent].tobytes() == without.logits[agent].tobytes()
+
+    def test_width_one_column_is_the_product(self):
+        # The first agent of a path (one feature, no parent) iterates from
+        # zero; a featureless single-parent sink starts at its optimum, so
+        # its column is the product at pass-through.
+        ds = generate_hard_instance(HardInstanceSpec(k=3, n=20_000, seed=9))
+        graph = build_agent_graph([(1, 2), (2, 3)], [{1}, {2, 3}, set()], d=3)
+        trace = run_protocol(ds, graph)
+        for agent, start in ((1, None), (3, [1.0])):
+            f_design = agent_design(ds, graph, agent, trace)
+            c_design = np.ascontiguousarray(f_design[:, 0]).reshape(-1, 1)
+            assert f_design.strides != c_design.strides
+            for design in (f_design, c_design):
+                carry = FitCarry()
+                fit = fit_logistic(design, ds.labels, start=start, carry=carry)
+                assert fit.iterations == trace.models[agent].iterations
+                assert fit.weights.tobytes() == trace.models[agent].weights.tobytes()
+                assert carry.logits.tobytes() == (design @ fit.weights).tobytes()
+                assert carry.logits.tobytes() == trace.logits[agent].tobytes()
+                assert fit.loss == bce_loss(carry.logits, ds.labels)
 
 
 class TestSinkExcessLoss:
