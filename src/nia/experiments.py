@@ -233,14 +233,6 @@ def _suite(passed: bool, margin: float, threshold: float, **details) -> dict:
     }
 
 
-def _protocol_run_for_verify(config: ExperimentConfig) -> tuple[Dataset, AgentGraph, ProtocolTrace]:
-    vc = config.verify
-    dataset = generate_hard_instance(HardInstanceSpec(k=vc.k, n=vc.n_protocol, seed=vc.seed))
-    graph = cyclic_path_assignment(vc.k, vc.depth)
-    trace = run_protocol(dataset, graph, config.solver)
-    return dataset, graph, trace
-
-
 def orthogonality_suite(
     dataset: Dataset, graph: AgentGraph, trace: ProtocolTrace, threshold: float = 1e-9
 ) -> dict:
@@ -279,20 +271,18 @@ def monotone_loss_suite(trace: ProtocolTrace, threshold: float = 1e-9) -> dict:
     return _suite(worst <= threshold, threshold - worst, threshold, max_increase=worst)
 
 
-def decomposition_suite(config: ExperimentConfig, threshold: float = 1e-8) -> dict:
-    """Loss-decomposition identity around the global fit for perturbed
-    comparators; the residual scales with the achieved gradient norm."""
+def decomposition_suite(dataset: Dataset, config: ExperimentConfig, threshold: float = 1e-8) -> dict:
+    """Loss-decomposition identity around the global fit on ``dataset`` for
+    perturbed comparators; the residual scales with the achieved gradient norm."""
     vc = config.verify
-    dataset = generate_hard_instance(HardInstanceSpec(k=vc.k, n=vc.n_decomposition, seed=vc.seed))
     gfit = global_logistic_fit(dataset, replace(config.solver, grad_tol=vc.decomposition_grad_tol))
-    star_logits = dataset.features @ gfit.weights
     rng = np.random.Generator(np.random.Philox(key=vc.seed))
-    worst = 0.0
-    features = tuple(range(1, dataset.d + 1))
-    for _ in range(vc.decomposition_perturbations):
-        delta = rng.uniform(-0.1, 0.1, size=dataset.d)
-        q_logits = dataset.features @ (gfit.weights + delta)
-        worst = max(worst, verify_decomposition(dataset, star_logits, q_logits, features))
+    comparators = (
+        dataset.features @ (gfit.weights + rng.uniform(-0.1, 0.1, size=dataset.d))
+        for _ in range(vc.decomposition_perturbations)
+    )
+    features = range(1, dataset.d + 1)
+    worst = verify_decomposition(dataset, dataset.features @ gfit.weights, comparators, features)
     return _suite(
         worst <= threshold and gfit.converged,
         threshold - worst,
@@ -380,16 +370,25 @@ def noise_monotonicity_suite(
 def verify_experiment(config: ExperimentConfig) -> dict:
     """Run every verification suite and aggregate a pass/fail report.
 
-    The two suites that read the protocol run go first, and the run's
-    dataset and trace are dropped before the next suite builds its own."""
+    The two suites that read the protocol run go first; the decomposition
+    suite reuses its dataset unless ``n_decomposition`` differs from
+    ``n_protocol``. Each piece of the run is dropped once no suite needs it."""
     vc: VerifyConfig = config.verify
-    dataset, graph, trace = _protocol_run_for_verify(config)
+    spec = HardInstanceSpec(k=vc.k, n=vc.n_protocol, seed=vc.seed)
+    dataset = generate_hard_instance(spec)
+    graph = cyclic_path_assignment(vc.k, vc.depth)
+    trace = run_protocol(dataset, graph, config.solver)
     orthogonality = orthogonality_suite(dataset, graph, trace)
     monotone_loss = monotone_loss_suite(trace)
-    del dataset, graph, trace
+    del graph, trace
+    if vc.n_decomposition != spec.n:
+        del dataset  # before the second instance is generated
+        dataset = generate_hard_instance(replace(spec, n=vc.n_decomposition))
+    decomposition = decomposition_suite(dataset, config)
+    del dataset
     suites = {
         "orthogonality": orthogonality,
-        "decomposition": decomposition_suite(config),
+        "decomposition": decomposition,
         "pinsker": pinsker_suite(vc.pinsker_trials, vc.seed),
         "monotone_loss": monotone_loss,
         "coefficient_closed_form": coefficient_suite(),

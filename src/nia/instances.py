@@ -18,7 +18,7 @@ from scipy.special import ndtri
 
 from .data import Dataset
 from .errors import InvalidDimension, QuadratureFailure
-from .logistic import sigmoid, stable_softplus
+from .logistic import _softplus_exp, sigmoid
 
 DEFAULT_QUADRATURE_NODES = 200
 
@@ -264,9 +264,9 @@ def noise_monotonicity_check(
     larger loss in expectation.
 
     Z takes the first n_mc uniforms of a Philox stream keyed by ``seed`` and
-    xi the next n_mc. Both are drawn and used in blocks of 65536 rows, and
-    each distinct variance is evaluated once per block, so memory does not
-    grow with n_mc. Block means and sums of squared deviations are merged
+    xi the next n_mc, both drawn and used in 65536-row blocks through buffers
+    allocated once (c Z and sigmoid(Z) formed once per block), so memory does
+    not grow with n_mc. Block means and sums of squared deviations are merged
     with Chan, Golub and LeVeque's pairwise rule; the per-sample losses are
     those of a whole-array computation, and only the order of summation
     differs, which moves the means and standard errors in their last bits.
@@ -295,20 +295,25 @@ def noise_monotonicity_check(
     xi_bits.advance(n_mc // 4)
     xi_bits.random_raw(n_mc % 4)
     xi_rng = np.random.Generator(xi_bits)
+    buf = np.empty((5 + len(variances), min(n_mc, _MC_BLOCK_ROWS)))
     for start in range(0, n_mc, _MC_BLOCK_ROWS):
         rows = min(_MC_BLOCK_ROWS, n_mc - start)
         z_lat = standard_normals(z_rng, rows)
         xi = standard_normals(xi_rng, rows)
+        cz, z, e, sp, work = buf[:5, :rows]
+        losses = buf[5:, :rows]
+        np.multiply(z_lat, c, out=cz)
         sig = sigmoid(z_lat)
-        losses = np.empty((len(variances), rows))
         for i, v in enumerate(variances):
-            z = c * z_lat + np.sqrt(v) * xi
-            np.add(-sig * z, stable_softplus(z), out=losses[i])
+            np.add(cz, np.multiply(xi, np.sqrt(v), out=z), out=z)
+            _softplus_exp(z, e, sp, work)
+            # softplus(z) - sigmoid(Z) z, bitwise -sigmoid(Z) z + softplus(z).
+            np.subtract(sp, np.multiply(sig, z, out=work), out=losses[i])
         b_mean = np.empty_like(mean)
         b_m2 = np.zeros_like(m2)
         b_mean[: len(variances)] = losses.mean(axis=1)
         for r, (i, j) in enumerate(pair_index, start=len(variances)):
-            diff = losses[j] - losses[i]
+            diff = np.subtract(losses[j], losses[i], out=work)
             b_mean[r] = diff.mean()
             diff -= b_mean[r]
             b_m2[r] = np.square(diff, out=diff).sum()

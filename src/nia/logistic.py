@@ -28,8 +28,8 @@ WEIGHT_NORM_CAP = 1e4
 _ARMIJO_C1 = 1e-4
 _MIN_STEP = 1e-12
 
-# Rows per block of the Hessian sum and of the loss's scratch, so a block's
-# temporaries stay small next to a row-length array.
+# Rows per block of the Hessian sum and the loss's scratch up to width 4; wider
+# designs take proportionally fewer, so Hessian temporaries stay in cache.
 _BLOCK_ROWS = 1 << 14
 
 
@@ -243,7 +243,7 @@ def fit_logistic(
     # an accepted candidate swaps places with the current pair. Between those
     # uses zc is scratch (the sigmoid's, p - y, the Hessian weights) and e
     # holds the candidate's softplus rows.
-    work = np.empty(min(n, _BLOCK_ROWS))
+    work = np.empty(min(n, _BLOCK_ROWS * 4 // max(m, 4)))
     blocks = [(slice(i, i + len(work)), work[: n - i]) for i in range(0, n, len(work))]
     z = product(theta, np.empty(n))
     e = None

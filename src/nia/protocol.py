@@ -22,6 +22,8 @@ from .errors import DimensionMismatch, MissingParent, NotConvergedWarning
 from .graph import AgentGraph
 from .logistic import FitCarry, FitOptions, FitResult, fit_logistic
 
+_DESIGN_BLOCK_ROWS = 1 << 13  # rows per block of agent_design's feature gather
+
 
 @dataclass(frozen=True)
 class ProtocolTrace:
@@ -60,16 +62,22 @@ def agent_design(
     trace: ProtocolTrace,
 ) -> np.ndarray:
     """Design matrix for one agent: local features in ascending index order,
-    then parent logit columns in declared parent order."""
-    cols = [dataset.features[:, l - 1] for l in sorted(graph.feature_set(agent_id))]
-    for parent in graph.parents_of(agent_id):
+    then parent logit columns in declared parent order; each is contiguous."""
+    idx = [l - 1 for l in sorted(graph.feature_set(agent_id))]
+    parents = graph.parents_of(agent_id)
+    design = np.empty((len(idx) + len(parents), dataset.n))
+    # One column is one strided pass; several cost less gathered in row blocks.
+    if len(idx) == 1:
+        design[0] = dataset.features[:, idx[0]]
+    elif idx:
+        for start in range(0, dataset.n, _DESIGN_BLOCK_ROWS):
+            rows = slice(start, start + _DESIGN_BLOCK_ROWS)
+            design[: len(idx), rows] = dataset.features[rows][:, idx].T
+    for i, parent in enumerate(parents, start=len(idx)):
         if parent not in trace.logits:
             raise MissingParent(f"agent {agent_id} needs logits of agent {parent}")
-        cols.append(trace.logits[parent])
-    if not cols:
-        return np.empty((dataset.n, 0))
-    # Stacked one column per row, so every design column is contiguous.
-    return np.stack(cols).T
+        design[i] = trace.logits[parent]
+    return design.T
 
 
 def run_protocol(

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from nia import InvalidConfig
+import nia.experiments
+from nia import HardInstanceSpec, InvalidConfig, generate_hard_instance
 from nia.config import parse_config
-from nia.experiments import run_experiment, scan_experiment
+from nia.experiments import decomposition_suite, run_experiment, scan_experiment, verify_experiment
 
 
 def _graph_file(tmp_path, obj):
@@ -92,3 +93,26 @@ class TestScanExperiment:
         })
         with pytest.raises(InvalidConfig):
             scan_experiment(config)
+
+
+class TestVerifyExperiment:
+    SIZES = {"k": 3, "depth": 4, "pinsker_trials": 100, "noise_samples": 1000}
+
+    @pytest.mark.parametrize("n_decomposition, generated", [(2000, 1), (1500, 2)])
+    def test_one_instance_when_sizes_match(self, monkeypatch, n_decomposition, generated):
+        config = parse_config(
+            {"verify": self.SIZES | {"n_protocol": 2000, "n_decomposition": n_decomposition}}
+        )
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return generate_hard_instance(spec)
+
+        monkeypatch.setattr(nia.experiments, "generate_hard_instance", counting)
+        report = verify_experiment(config)
+        assert len(calls) == generated
+        assert calls[-1] == HardInstanceSpec(k=3, n=n_decomposition, seed=1)
+        # The suite on separately generated data gives the same entry.
+        separate = generate_hard_instance(HardInstanceSpec(k=3, n=n_decomposition, seed=1))
+        assert report["suites"]["decomposition"] == decomposition_suite(separate, config)

@@ -300,7 +300,52 @@ def _full_array_noise_check(c, v_small, v_large, n_mc, seed):
     )
 
 
+def _fresh_array_noise_check(c, pairs, n_mc, seed, block_rows):
+    """Reference: the blocked algorithm with fresh arrays for every variance
+    of every block, c Z and -sigmoid(Z) formed again for each variance."""
+    variances = sorted({v for pair in pairs for v in pair})
+    index = {v: i for i, v in enumerate(variances)}
+    pair_index = [(index[a], index[b]) for a, b in pairs]
+    mean = np.zeros(len(variances) + len(pairs))
+    m2 = np.zeros_like(mean)
+    z_rng = np.random.Generator(np.random.Philox(key=seed))
+    xi_bits = np.random.Philox(key=seed)
+    xi_bits.advance(n_mc // 4)
+    xi_bits.random_raw(n_mc % 4)
+    xi_rng = np.random.Generator(xi_bits)
+    for start in range(0, n_mc, block_rows):
+        rows = min(block_rows, n_mc - start)
+        z_lat = standard_normals(z_rng, rows)
+        xi = standard_normals(xi_rng, rows)
+        sig = sigmoid(z_lat)
+        losses = np.empty((len(variances), rows))
+        for i, v in enumerate(variances):
+            z = c * z_lat + np.sqrt(v) * xi
+            np.add(-sig * z, stable_softplus(z), out=losses[i])
+        b_mean = np.empty_like(mean)
+        b_m2 = np.zeros_like(m2)
+        b_mean[: len(variances)] = losses.mean(axis=1)
+        for r, (i, j) in enumerate(pair_index, start=len(variances)):
+            diff = losses[j] - losses[i]
+            b_mean[r] = diff.mean()
+            diff -= b_mean[r]
+            b_m2[r] = np.square(diff, out=diff).sum()
+        delta = b_mean - mean
+        mean += delta * (rows / (start + rows))
+        m2 += b_m2 + delta * delta * (start * rows / (start + rows))
+    se = np.sqrt(m2[len(variances):] / (n_mc - 1)) / np.sqrt(n_mc)
+    return [(float(mean[i]), float(mean[j]), float(s)) for (i, j), s in zip(pair_index, se)]
+
+
 class TestNoiseMonotonicity:
+    @pytest.mark.parametrize("n_mc", [2, 65536, 65537])
+    def test_block_buffers_bitwise_match_fresh_arrays(self, n_mc):
+        pairs = [*NOISE_VARIANCE_PAIRS, (0.25, 1.0)]
+        block_rows = nia.instances._MC_BLOCK_ROWS
+        expected = _fresh_array_noise_check(0.8, pairs, n_mc, 4, block_rows)
+        got = noise_monotonicity_check(0.8, pairs, n_mc, 4)
+        assert [(g.loss_small, g.loss_large, g.std_error) for g in got] == expected
+
     @pytest.mark.parametrize("n_mc", [2, 3, 65537, 200003])
     def test_blocks_match_full_arrays(self, n_mc):
         pairs = [*NOISE_VARIANCE_PAIRS, (0.25, 1.0)]

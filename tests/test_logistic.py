@@ -22,6 +22,7 @@ from nia import (
     sigmoid,
     stable_softplus,
 )
+import nia.logistic
 from nia.logistic import FitCarry
 
 LOG2 = math.log(2.0)
@@ -304,6 +305,21 @@ class TestFitLogistic:
             tracemalloc.stop()
         assert fit.converged and fit.iterations > 0
         assert peak < features.nbytes, peak
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_wide_design_row_blocks_match_one_block(self, monkeypatch, order):
+        # Width 6 takes fewer rows per block than width 4; n leaves a short
+        # last block.
+        rng = np.random.default_rng(47)
+        n = 3 * (nia.logistic._BLOCK_ROWS * 4 // 6) + 101
+        design = np.asarray(rng.normal(size=(n, 6)), order=order)
+        labels = (rng.random(n) < sigmoid(design @ np.linspace(-0.6, 0.6, 6))).astype(float)
+        blocked = fit_logistic(design, labels)
+        monkeypatch.setattr(nia.logistic, "_BLOCK_ROWS", 2 * n)
+        one_block = fit_logistic(design, labels)
+        assert blocked.converged and one_block.converged
+        assert np.allclose(blocked.weights, one_block.weights, rtol=0, atol=1e-9)
+        assert blocked.loss == bce_loss(design @ blocked.weights, labels)
 
 
 class TestWarmStart:

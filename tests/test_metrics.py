@@ -124,13 +124,13 @@ class TestVerifyDecomposition:
     def test_identical_predictor_gives_exact_zero(self, fitted_instance):
         ds, fit = fitted_instance
         star = ds.features @ fit.weights
-        assert verify_decomposition(ds, star, star, range(1, 5)) == 0.0
+        assert verify_decomposition(ds, star, [star], range(1, 5)) == 0.0
 
     def test_zero_predictor_residual_small(self, fitted_instance):
         ds, fit = fitted_instance
         star = ds.features @ fit.weights
         zero = np.zeros(ds.n)
-        assert verify_decomposition(ds, star, zero, range(1, 5)) <= 1e-8
+        assert verify_decomposition(ds, star, [zero], range(1, 5)) <= 1e-8
 
     def test_perturbed_coordinate(self, fitted_instance):
         ds, fit = fitted_instance
@@ -138,7 +138,7 @@ class TestVerifyDecomposition:
         theta_q = fit.weights.copy()
         theta_q[0] += 0.1
         zq = ds.features @ theta_q
-        assert verify_decomposition(ds, star, zq, range(1, 5)) <= 1e-8
+        assert verify_decomposition(ds, star, [zq], range(1, 5)) <= 1e-8
         assert bce_loss(zq, ds.labels) > bce_loss(star, ds.labels)
 
     def test_residual_scales_with_gradient_tolerance(self):
@@ -151,15 +151,36 @@ class TestVerifyDecomposition:
             worst = 0.0
             for _ in range(10):
                 zq = ds.features @ (fit.weights + rng.uniform(-0.1, 0.1, 4))
-                worst = max(worst, verify_decomposition(ds, star, zq, range(1, 5)))
+                worst = max(worst, verify_decomposition(ds, star, [zq], range(1, 5)))
             residuals[tol] = worst
         assert residuals[1e-6] >= 1e3 * residuals[1e-12]
+
+    def test_many_comparators_bitwise_worst_single_residual(self, fitted_instance):
+        ds, fit = fitted_instance
+        star = ds.features @ fit.weights
+        rng = np.random.default_rng(3)
+        qs = [ds.features @ (fit.weights + rng.uniform(-0.1, 0.1, 4)) for _ in range(5)]
+        qs.append(np.zeros(ds.n))
+        ls = bce_loss(star, ds.labels)
+        expected = max(
+            abs(bce_loss(q, ds.labels) - ls - expected_kl_from_logits(star, q)) for q in qs
+        )
+        assert verify_decomposition(ds, star, iter(qs), range(1, 5)) == expected
+        assert verify_decomposition(ds, star, [], range(1, 5)) == 0.0
+
+    def test_later_comparator_of_wrong_length(self, fitted_instance):
+        ds, fit = fitted_instance
+        star = ds.features @ fit.weights
+        with pytest.raises(LengthMismatch):
+            verify_decomposition(ds, star, [star, star[:-1]], range(1, 5))
+        with pytest.raises(LengthMismatch):
+            verify_decomposition(ds, star[:-1], [star], range(1, 5))
 
     def test_bad_feature_index(self, fitted_instance):
         ds, fit = fitted_instance
         star = ds.features @ fit.weights
         with pytest.raises(InvalidDimension):
-            verify_decomposition(ds, star, star, [0])
+            verify_decomposition(ds, star, [star], [0])
 
 
 class TestBoundFormulas:

@@ -102,6 +102,20 @@ class TestAgentDesign:
         assert np.array_equal(design[:, 0], dataset.features[:, 0])
         assert np.array_equal(design[:, 1], dataset.features[:, 2])
 
+    @pytest.mark.parametrize("features", [{2}, {1, 3}, {1, 2, 3}])
+    def test_matches_stacked_columns_across_row_blocks(self, features):
+        # n is not a multiple of the gather's row block.
+        ds = generate_hard_instance(
+            HardInstanceSpec(k=3, n=2 * nia.protocol._DESIGN_BLOCK_ROWS + 77, seed=2)
+        )
+        g = build_agent_graph([(1, 2)], [{1}, features], d=3)
+        trace = _empty_trace((1, 2))
+        trace.logits[1] = np.arange(float(ds.n))
+        design = agent_design(ds, g, 2, trace)
+        cols = [ds.features[:, l - 1] for l in sorted(features)] + [trace.logits[1]]
+        assert np.array_equal(design, np.stack(cols).T)
+        assert design.flags.f_contiguous
+
     def test_missing_parent(self, dataset):
         g = build_agent_graph([(1, 2)], [{1}, {2}], d=3)
         with pytest.raises(MissingParent):
