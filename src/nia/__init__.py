@@ -56,9 +56,7 @@ from .logistic import (
 )
 from .metrics import (
     StableBlock,
-    TheoryReport,
     bernoulli_kl_pointwise,
-    build_theory_report,
     convergence_bound_rhs,
     expected_kl_from_logits,
     feature_second_moment_bound,
@@ -95,12 +93,10 @@ __all__ = [
     "ProtocolTrace",
     "QuadratureFailure",
     "StableBlock",
-    "TheoryReport",
     "agent_design",
     "bce_loss",
     "bernoulli_kl_pointwise",
     "build_agent_graph",
-    "build_theory_report",
     "check_m_coverage",
     "convergence_bound_rhs",
     "cyclic_path_assignment",

@@ -99,14 +99,13 @@ def cmd_generate(config: ExperimentConfig) -> int:
 
 def cmd_run(config: ExperimentConfig) -> int:
     out = _ensure_out(config)
-    artifacts = run_experiment(config)
+    trace, rep = run_experiment(config)
     trace_path = os.path.join(out, "trace.csv")
     report_path = os.path.join(out, "run_report.json")
-    write_trace_csv(trace_path, artifacts.trace)
-    write_json(report_path, artifacts.report)
+    write_trace_csv(trace_path, trace)
+    write_json(report_path, rep)
     if config.dump_logits:
-        write_logit_dump(os.path.join(out, "logits.bin"), artifacts.trace)
-    rep = artifacts.report
+        write_logit_dump(os.path.join(out, "logits.bin"), trace)
     print(f"wrote {trace_path}")
     print(f"wrote {report_path}")
     print(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import repeat
 
 import numpy as np
@@ -25,9 +25,9 @@ from .io import SCAN_FIELDS, read_dataset_file, read_graph_file
 from .logistic import FitOptions, FitResult, fit_logistic, residual_moments
 from .metrics import (
     bernoulli_kl_pointwise,
-    build_theory_report,
     convergence_bound_rhs,
     feature_second_moment_bound,
+    residual_bound_rhs,
     stable_block,
     verify_decomposition,
 )
@@ -44,75 +44,64 @@ def global_logistic_fit(dataset: Dataset, opts: FitOptions) -> FitResult:
     return fit_logistic(dataset.features, dataset.labels, opts)
 
 
-def resolve_graph(config: ExperimentConfig, d: int) -> tuple[AgentGraph, int, int | None]:
-    """Build or load the graph; returns (graph, d, window M or None).
+def run_experiment(config: ExperimentConfig) -> tuple[ProtocolTrace, dict]:
+    """One protocol run plus the global fit, bound values, and diagnostics;
+    returns (trace, report).
 
-    A cyclic path runs over the dataset's ``d`` features, and its window
-    defaults to ``d``; a graph file brings its own ``d``.
+    A cyclic path runs over the dataset's ``d`` features with window M
+    defaulting to ``d``; a graph file's own ``d`` only bounds its feature
+    indices. Coverage of all ``d`` dataset features is evaluated only for
+    path graphs with a window M no longer than the path, and is reported as
+    None otherwise; when it fails (or is not applicable) the depth-bound
+    comparison is omitted from the report rather than computed on an
+    inapplicable graph.
     """
-    gc = config.graph
+    inst, gc = config.instance, config.graph
+    seed = None
+    if inst.kind == "file":
+        dataset = read_dataset_file(inst.dataset)
+    else:
+        seed = inst.seeds[0]
+        dataset = generate_hard_instance(HardInstanceSpec(k=inst.k, n=inst.n, seed=seed))
     if gc is None:
         raise InvalidConfig("this command requires a 'graph' section")
+    d = dataset.d
     if gc.cyclic_depth is not None:
         graph = cyclic_path_assignment(d, gc.cyclic_depth)
-        return graph, d, (gc.m if gc.m is not None else d)
-    graph, d = read_graph_file(gc.file)
-    return graph, d, gc.m
-
-
-def resolve_dataset(config: ExperimentConfig, seed: int | None = None) -> tuple[Dataset, int | None]:
-    inst = config.instance
-    if inst.kind == "file":
-        return read_dataset_file(inst.dataset), None
-    use_seed = seed if seed is not None else inst.seeds[0]
-    return generate_hard_instance(HardInstanceSpec(k=inst.k, n=inst.n, seed=use_seed)), use_seed
-
-
-@dataclass(frozen=True)
-class RunArtifacts:
-    dataset: Dataset
-    graph: AgentGraph
-    trace: ProtocolTrace
-    global_fit: FitResult
-    report: dict
-
-
-def run_experiment(config: ExperimentConfig) -> RunArtifacts:
-    """One protocol run plus the global fit, bound values, and diagnostics.
-
-    Coverage is evaluated only for path graphs with a window M no longer
-    than the path, and is reported as None otherwise; when it fails (or is
-    not applicable) the depth-bound comparison is omitted from the report
-    rather than computed on an inapplicable graph.
-    """
-    dataset, seed = resolve_dataset(config)
-    graph, d, window = resolve_graph(config, dataset.d)
+        window = gc.m if gc.m is not None else d
+    else:
+        graph, window = read_graph_file(gc.file)[0], gc.m
     trace = run_protocol(dataset, graph, config.solver, keep_logits=config.dump_logits)
     gfit = global_logistic_fit(dataset, config.solver)
     excess = sink_excess_loss(trace, gfit)
     sink = trace.sink_id
 
     is_path = graph.is_path()
+    depth = graph.num_agents
     coverage = first_violation = block = theory = None
-    if is_path and window is not None and window <= graph.num_agents:
+    if is_path and window is not None and window <= depth:
         coverage, first_violation = check_m_coverage(graph, window, d)
         block = stable_block(trace.loss_path(), window)
-        theory = build_theory_report(
-            b_x=feature_second_moment_bound(dataset.features),
-            b_g=gfit.l1_norm,
-            m=window,
-            depth=graph.num_agents,
-            epsilon=block.drop,
-        ).to_dict()
-        if not coverage:
-            theory["rhs_convergence_bound"] = None
+        b_x = feature_second_moment_bound(dataset.features)
+        epsilon = max(block.drop, 0.0)
+        theory = {
+            "b_x": b_x,
+            "b_g": gfit.l1_norm,
+            "m": window,
+            "depth": depth,
+            "epsilon": epsilon,
+            "rhs_residual_bound": residual_bound_rhs(gfit.l1_norm, b_x, window, epsilon),
+            "rhs_convergence_bound": (
+                convergence_bound_rhs(gfit.l1_norm, b_x, window, depth) if coverage else None
+            ),
+        }
 
     report = {
         "config_hash": config.config_hash(),
         "n": dataset.n,
         "d": d,
         "seed": seed,
-        "depth": graph.num_agents,
+        "depth": depth,
         "m": window,
         "is_path": is_path,
         "coverage": coverage,
@@ -126,7 +115,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifacts:
         "stable_block": ({"index": block.index, "drop": block.drop} if block else None),
         "theory": theory,
     }
-    return RunArtifacts(dataset=dataset, graph=graph, trace=trace, global_fit=gfit, report=report)
+    return trace, report
 
 
 def _scan_grid(config: ExperimentConfig) -> list[tuple[int, int]]:
@@ -150,7 +139,9 @@ def _scan_seed_rows(
 
     The protocol trace of a cyclic path is prefix-stable (agent i's fit only
     sees its ancestors), so one run at the maximum depth yields the sink
-    losses of every shallower depth.
+    losses of every shallower depth. The path repeats with period k, so a
+    window covers every prefix exactly when it covers the whole path; a row
+    whose window fails coverage gets no ``upper_bound``.
     """
     base = {
         "config_hash": chash,
@@ -162,14 +153,15 @@ def _scan_seed_rows(
     try:
         dataset = generate_hard_instance(HardInstanceSpec(k=k, n=n, seed=seed))
         gfit = global_logistic_fit(dataset, opts)
-        max_depth = max(depth for depth, _ in grid)
-        trace = run_protocol(dataset, cyclic_path_assignment(k, max_depth), opts, keep_logits=False)
-        losses = trace.loss_path()
+        path = cyclic_path_assignment(k, max(depth for depth, _ in grid))
+        covered = {m: check_m_coverage(path, m, k).ok for _, m in grid}
+        losses = run_protocol(dataset, path, opts, keep_logits=False).loss_path()
         b_x = feature_second_moment_bound(dataset.features)
         rows = []
         for depth, m in grid:
             sink_loss = float(losses[depth - 1])
             p = depth / k
+            bound = convergence_bound_rhs(gfit.l1_norm, b_x, m, depth) if covered[m] else None
             rows.append(
                 base
                 | {
@@ -179,7 +171,7 @@ def _scan_seed_rows(
                     "sink_loss": sink_loss,
                     "global_loss": gfit.loss,
                     "excess": sink_loss - gfit.loss,
-                    "upper_bound": convergence_bound_rhs(gfit.l1_norm, b_x, m, depth),
+                    "upper_bound": bound,
                     "lower_shape": 1.0 / (p + 1.0),
                 }
             )
@@ -281,8 +273,7 @@ def decomposition_suite(dataset: Dataset, config: ExperimentConfig, threshold: f
         dataset.features @ (gfit.weights + rng.uniform(-0.1, 0.1, size=dataset.d))
         for _ in range(vc.decomposition_perturbations)
     )
-    features = range(1, dataset.d + 1)
-    worst = verify_decomposition(dataset, dataset.features @ gfit.weights, comparators, features)
+    worst = verify_decomposition(dataset.labels, dataset.features @ gfit.weights, comparators)
     return _suite(
         worst <= threshold and gfit.converged,
         threshold - worst,

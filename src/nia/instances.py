@@ -11,7 +11,7 @@ shape these imply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 from scipy.special import ndtri
@@ -20,7 +20,7 @@ from .data import Dataset
 from .errors import InvalidDimension, QuadratureFailure
 from .logistic import _softplus_exp, sigmoid
 
-DEFAULT_QUADRATURE_NODES = 200
+QUADRATURE_NODES = 200
 
 # Rows per block of the noise Monte Carlo, so its memory does not grow with
 # the sample count.
@@ -157,38 +157,38 @@ def numeric_pass_coefficients(p: int, c: float) -> tuple[float, float]:
     return s, float(alpha @ alpha + (s + c) ** 2)
 
 
-@lru_cache(maxsize=8)
-def _hermite_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights, built once per node count; read-only
-    because every caller shares them."""
-    t, w = np.polynomial.hermite.hermgauss(nodes)
+@cache
+def _hermite_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """The QUADRATURE_NODES-point Gauss-Hermite rule, built once; read-only
+    because every caller shares it."""
+    t, w = np.polynomial.hermite.hermgauss(QUADRATURE_NODES)
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w
 
 
-def gauss_hermite_expectation(f, sd: float = 1.0, nodes: int = DEFAULT_QUADRATURE_NODES) -> float:
+def gauss_hermite_expectation(f, sd: float = 1.0) -> float:
     """E[f(X)] for X ~ N(0, sd^2) by Gauss-Hermite quadrature."""
-    t, w = _hermite_nodes(nodes)
+    t, w = _hermite_nodes()
     return float(np.sum(w * f(np.sqrt(2.0) * sd * t)) / np.sqrt(np.pi))
 
 
-def sigmoid_moment(u: float, nodes: int = DEFAULT_QUADRATURE_NODES) -> float:
+def sigmoid_moment(u: float) -> float:
     """h(u) = E[X sigmoid(X)] for X ~ N(0, u^2); strictly increasing in u."""
-    return gauss_hermite_expectation(lambda x: x * sigmoid(x), sd=u, nodes=nodes)
+    return gauss_hermite_expectation(lambda x: x * sigmoid(x), sd=u)
 
 
-def scaling_gradient(c: float, p: int, nodes: int = DEFAULT_QUADRATURE_NODES) -> float:
+def scaling_gradient(c: float, p: int) -> float:
     """Derivative in c of the loss of z = c(Z + xi/sqrt(p)) with unit-variance
     xi: -E[Z sigmoid(Z)] + E[S sigmoid(c S)] where S ~ N(0, 1 + 1/p)."""
     if p < 1:
         raise InvalidDimension(f"pass index must be >= 1, got {p}")
     s_sd = float(np.sqrt(1.0 + 1.0 / p))
-    second = gauss_hermite_expectation(lambda x: x * sigmoid(c * x), sd=s_sd, nodes=nodes)
-    return -sigmoid_moment(1.0, nodes) + second
+    second = gauss_hermite_expectation(lambda x: x * sigmoid(c * x), sd=s_sd)
+    return -sigmoid_moment(1.0) + second
 
 
-def optimal_scaling_factor(p: int, nodes: int = DEFAULT_QUADRATURE_NODES) -> float:
+def optimal_scaling_factor(p: int) -> float:
     """Loss-minimizing scale c for the pass-p predictor form: the root of the
     loss derivative ``scaling_gradient`` on (0, 1).
 
@@ -206,8 +206,8 @@ def optimal_scaling_factor(p: int, nodes: int = DEFAULT_QUADRATURE_NODES) -> flo
     since it would falsify the scaling analysis.
     """
     lo, hi = 0.0, 1.0
-    g_lo = scaling_gradient(lo, p, nodes)
-    g_hi = scaling_gradient(hi, p, nodes)
+    g_lo = scaling_gradient(lo, p)
+    g_hi = scaling_gradient(hi, p)
     if not (g_lo < 0.0 < g_hi):
         raise QuadratureFailure(
             f"loss derivative does not bracket a root on [0, 1]: g(0)={g_lo:.3e}, g(1)={g_hi:.3e}"
@@ -215,7 +215,7 @@ def optimal_scaling_factor(p: int, nodes: int = DEFAULT_QUADRATURE_NODES) -> flo
     kept = 0  # -1: the last step moved lo (kept hi), +1: it moved hi
     while True:
         c = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        g = scaling_gradient(c, p, nodes)
+        g = scaling_gradient(c, p)
         if g == 0.0:
             return c
         if g < 0.0:

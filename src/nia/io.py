@@ -72,12 +72,8 @@ def atomic_write_bytes(path: str, parts: Iterable) -> None:
         raise
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, (text.encode("utf-8"),))
-
-
 def write_json(path: str, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write_bytes(path, ((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"),))
 
 
 def sha256_file(path: str) -> str:
@@ -120,20 +116,6 @@ def read_dataset_file(path: str) -> Dataset:
     return Dataset(features=feats, labels=labels)
 
 
-def graph_to_json_obj(graph: AgentGraph, d: int) -> dict:
-    return {
-        "d": d,
-        "agents": [
-            {
-                "id": a,
-                "features": sorted(graph.feature_set(a)),
-                "parents": list(graph.parents_of(a)),
-            }
-            for a in range(1, graph.num_agents + 1)
-        ],
-    }
-
-
 def _json_ints(value, where: str) -> list[int]:
     if not isinstance(value, list):
         raise InvalidGraph(f"{where} must be a JSON list, got {value!r}")
@@ -161,7 +143,11 @@ def graph_from_json_obj(obj: dict) -> tuple[AgentGraph, int]:
 
 
 def write_graph_file(path: str, graph: AgentGraph, d: int) -> None:
-    write_json(path, graph_to_json_obj(graph, d))
+    agents = [
+        {"id": a, "features": sorted(graph.feature_set(a)), "parents": list(graph.parents_of(a))}
+        for a in range(1, graph.num_agents + 1)
+    ]
+    write_json(path, {"d": d, "agents": agents})
 
 
 def read_graph_file(path: str) -> tuple[AgentGraph, int]:
@@ -173,7 +159,18 @@ def read_graph_file(path: str) -> tuple[AgentGraph, int]:
     return graph_from_json_obj(obj)
 
 
-def trace_csv_rows(trace: ProtocolTrace) -> list[dict]:
+def write_csv(path: str, rows: Iterable[dict], fields: tuple[str, ...]) -> None:
+    import io as _io
+
+    buf = _io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: _fmt(row[k]) if row[k] is not None else "" for k in fields})
+    atomic_write_bytes(path, (buf.getvalue().encode("utf-8"),))
+
+
+def write_trace_csv(path: str, trace: ProtocolTrace) -> None:
     rows = []
     for pos, agent_id in enumerate(trace.order, start=1):
         model = trace.models[agent_id]
@@ -187,22 +184,7 @@ def trace_csv_rows(trace: ProtocolTrace) -> list[dict]:
                 "l1_weight_norm": model.l1_norm,
             }
         )
-    return rows
-
-
-def write_csv(path: str, rows: Iterable[dict], fields: tuple[str, ...]) -> None:
-    import io as _io
-
-    buf = _io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _fmt(row[k]) if row[k] is not None else "" for k in fields})
-    atomic_write_text(path, buf.getvalue())
-
-
-def write_trace_csv(path: str, trace: ProtocolTrace) -> None:
-    write_csv(path, trace_csv_rows(trace), TRACE_FIELDS)
+    write_csv(path, rows, TRACE_FIELDS)
 
 
 def write_logit_dump(path: str, trace: ProtocolTrace) -> None:

@@ -8,13 +8,11 @@ coverage, yield the residual and convergence bounds computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.special import rel_entr
 
-from .data import Dataset
 from .errors import DomainError, InvalidDimension, LengthMismatch
 from .logistic import bce_loss, sigmoid, stable_softplus
 
@@ -54,33 +52,25 @@ def expected_kl_from_logits(z_p, z_q) -> float:
     return float(np.mean(sigmoid(a) * (a - b) - stable_softplus(a) + stable_softplus(b)))
 
 
-def verify_decomposition(
-    dataset: Dataset,
-    star_logits,
-    comparators: Iterable,
-    feature_set: Sequence[int],
-) -> float:
+def verify_decomposition(labels, star_logits, comparators: Iterable) -> float:
     """Worst empirical residual |L(q) - L(p*) - D(p*||q)| over the comparator
     logit columns q, consumed one at a time (0.0 if there are none).
 
-    ``star_logits`` must come from a converged unregularized fit over
-    ``feature_set`` and each q from any linear predictor on the same columns;
-    the residual then scales with the solver's gradient tolerance (exactly 0
-    at exact stationarity). The star column's terms are evaluated once; each
-    residual is bitwise that of ``bce_loss`` and ``expected_kl_from_logits``."""
-    for l in feature_set:
-        if not 1 <= int(l) <= dataset.d:
-            raise InvalidDimension(f"feature index {l} outside 1..{dataset.d}")
+    ``star_logits`` must come from a converged unregularized fit and each q
+    from any linear predictor on the same columns; the residual then scales
+    with the solver's gradient tolerance (exactly 0 at exact stationarity).
+    The star column's terms are evaluated once; each residual is bitwise that
+    of ``bce_loss`` and ``expected_kl_from_logits``."""
     zs = np.asarray(star_logits, dtype=np.float64).ravel()
-    ls = bce_loss(zs, dataset.labels)  # raises LengthMismatch on a wrong length
+    ls = bce_loss(zs, labels)  # raises LengthMismatch on a wrong length
     sig_s, sp_s = sigmoid(zs), stable_softplus(zs)
     worst = 0.0
     for q in comparators:
         zq = np.asarray(q, dtype=np.float64).ravel()
-        if zq.shape[0] != dataset.n:
-            raise LengthMismatch("logit columns must match the dataset row count")
+        if zq.shape[0] != zs.shape[0]:
+            raise LengthMismatch("comparator columns must match the label count")
         sp_q = stable_softplus(zq)
-        lq = float(np.mean(sp_q - dataset.labels * zq))
+        lq = float(np.mean(sp_q - labels * zq))
         kl = float(np.mean(sig_s * (zs - zq) - sp_s + sp_q))
         worst = max(worst, abs(lq - ls - kl))
     return worst
@@ -136,40 +126,3 @@ def feature_second_moment_bound(features) -> float:
     if x.ndim != 2 or x.shape[1] == 0:
         raise InvalidDimension("need a nonempty 2-d feature matrix")
     return float(np.sqrt(np.max(np.mean(x * x, axis=0))))
-
-
-@dataclass(frozen=True)
-class TheoryReport:
-    """Measured bound ingredients and the resulting right-hand sides.
-
-    ``b_x`` is the empirical feature second-moment bound, ``b_g`` the l1
-    norm of the comparator's coefficients (the global fit when comparing to
-    the full-feature optimum), ``epsilon`` a block loss drop.
-    """
-
-    b_x: float
-    b_g: float
-    m: int
-    depth: int
-    epsilon: float
-    rhs_residual_bound: float
-    rhs_convergence_bound: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def build_theory_report(
-    b_x: float, b_g: float, m: int, depth: int, epsilon: float
-) -> TheoryReport:
-    """Assemble a TheoryReport, computing both bound right-hand sides."""
-    epsilon = max(epsilon, 0.0)
-    return TheoryReport(
-        b_x=b_x,
-        b_g=b_g,
-        m=m,
-        depth=depth,
-        epsilon=epsilon,
-        rhs_residual_bound=residual_bound_rhs(b_g, b_x, m, epsilon),
-        rhs_convergence_bound=convergence_bound_rhs(b_g, b_x, m, depth),
-    )

@@ -30,8 +30,7 @@ class TestRunExperiment:
             "instance": {"kind": "hard", "k": 2, "n": 2000, "seeds": [3]},
             "graph": {"file": gpath},
         })
-        artifacts = run_experiment(config)
-        report = artifacts.report
+        _, report = run_experiment(config)
         assert report["is_path"] is False
         assert report["coverage"] is None
         assert report["stable_block"] is None
@@ -52,11 +51,32 @@ class TestRunExperiment:
             "instance": {"kind": "hard", "k": 2, "n": 1000, "seeds": [1]},
             "graph": {"file": gpath},
         })
-        report = run_experiment(config).report
+        _, report = run_experiment(config)
         assert report["is_path"] is True
         assert report["m"] is None
         assert report["coverage"] is None
         assert report["theory"] is None
+
+    def test_coverage_checked_against_dataset_features(self, tmp_path):
+        # The file declares d = 2, but the dataset has k = 4 features, and
+        # no agent observes features 3 and 4.
+        gpath = _graph_file(tmp_path, {
+            "d": 2,
+            "agents": [
+                {"id": i, "features": [(i - 1) % 2 + 1], "parents": [i - 1] if i > 1 else []}
+                for i in range(1, 5)
+            ],
+        })
+        config = parse_config({
+            "instance": {"kind": "hard", "k": 4, "n": 1000, "seeds": [1]},
+            "graph": {"file": gpath, "m": 2},
+        })
+        _, report = run_experiment(config)
+        assert report["d"] == 4
+        assert report["coverage"] is False
+        assert report["coverage_first_violation"] == 1
+        assert report["theory"]["rhs_convergence_bound"] is None
+        assert report["theory"]["rhs_residual_bound"] is not None
 
     def test_run_requires_graph(self):
         config = parse_config({"instance": {"kind": "hard", "k": 2, "n": 100}})
@@ -74,6 +94,17 @@ class TestScanExperiment:
         assert [(r["D"], r["M"]) for r in rows] == [(4, 2), (4, 4)]
         # The bound column scales linearly in the window.
         assert rows[1]["upper_bound"] == pytest.approx(2 * rows[0]["upper_bound"], rel=1e-12)
+
+    def test_uncovered_window_has_no_upper_bound(self):
+        # On the k = 4 cyclic path a window of 2 agents sees 2 of 4 features.
+        config = parse_config({
+            "instance": {"kind": "hard", "k": 4, "n": 500, "seeds": [1]},
+            "scan": {"depths": [4, 8], "windows": [2, 4]},
+        })
+        rows = scan_experiment(config)
+        assert [(r["D"], r["M"]) for r in rows] == [(4, 2), (4, 4), (8, 2), (8, 4)]
+        assert [r["upper_bound"] is None for r in rows] == [True, False, True, False]
+        assert all(r["error"] is None for r in rows)
 
     def test_pass_grid_merges_into_depth_grid(self):
         config = parse_config({

@@ -27,7 +27,7 @@ from nia import (
 )
 from nia.experiments import NOISE_VARIANCE_PAIRS
 from nia.instances import (
-    DEFAULT_QUADRATURE_NODES,
+    QUADRATURE_NODES,
     _hermite_nodes,
     _uniform_open,
     gauss_hermite_expectation,
@@ -213,7 +213,7 @@ class TestOptimalScalingFactor:
             assert abs(scaling_gradient(c, p)) <= 1e-10
 
     def test_bracket_without_sign_change_raises(self, monkeypatch):
-        monkeypatch.setattr(nia.instances, "scaling_gradient", lambda c, p, nodes: 1.0 + c)
+        monkeypatch.setattr(nia.instances, "scaling_gradient", lambda c, p: 1.0 + c)
         with pytest.raises(QuadratureFailure, match="bracket"):
             optimal_scaling_factor(2)
 
@@ -221,9 +221,9 @@ class TestOptimalScalingFactor:
     def test_root_takes_few_gradient_evaluations(self, monkeypatch, p):
         calls = []
 
-        def counted(c, p, nodes):
+        def counted(c, p):
             calls.append(c)
-            return scaling_gradient(c, p, nodes)
+            return scaling_gradient(c, p)
 
         monkeypatch.setattr(nia.instances, "scaling_gradient", counted)
         optimal_scaling_factor(p)
@@ -233,11 +233,11 @@ class TestOptimalScalingFactor:
     def test_root_matches_brent(self, p):
         # Brent's method to the same absolute width is the reference; the
         # package itself does not import scipy.optimize.
-        reference = brentq(scaling_gradient, 0.0, 1.0, args=(p, DEFAULT_QUADRATURE_NODES), xtol=1e-12)
+        reference = brentq(scaling_gradient, 0.0, 1.0, args=(p,), xtol=1e-12)
         assert abs(optimal_scaling_factor(p) - reference) <= 1e-12
 
     def test_linear_gradient_root(self, monkeypatch):
-        monkeypatch.setattr(nia.instances, "scaling_gradient", lambda c, p, nodes: c - 0.25)
+        monkeypatch.setattr(nia.instances, "scaling_gradient", lambda c, p: c - 0.25)
         assert abs(optimal_scaling_factor(2) - 0.25) <= 1e-15
 
     def test_verify_does_not_import_scipy_optimize(self):
@@ -265,16 +265,15 @@ class TestOptimalScalingFactor:
             oracle = _quad_expectation(lambda x: x * sigmoid(x), u)
             assert sigmoid_moment(u) == pytest.approx(oracle, rel=1e-10)
 
-    @pytest.mark.parametrize("nodes", [20, 200])
-    def test_cached_nodes_match_fresh_sum_and_are_read_only(self, nodes):
+    def test_cached_nodes_match_fresh_sum_and_are_read_only(self):
         def f(x):
             return x * sigmoid(0.7 * x)
 
-        t, w = np.polynomial.hermite.hermgauss(nodes)
+        t, w = np.polynomial.hermite.hermgauss(QUADRATURE_NODES)
         fresh = float(np.sum(w * f(np.sqrt(2.0) * 1.3 * t)) / np.sqrt(np.pi))
         for _ in range(2):  # the first call fills the cache, the second reads it
-            assert gauss_hermite_expectation(f, sd=1.3, nodes=nodes) == fresh
-        cached_t, cached_w = _hermite_nodes(nodes)
+            assert gauss_hermite_expectation(f, sd=1.3) == fresh
+        cached_t, cached_w = _hermite_nodes()
         assert not cached_t.flags.writeable and not cached_w.flags.writeable
         with pytest.raises(ValueError):
             cached_w[0] = 0.0

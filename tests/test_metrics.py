@@ -13,7 +13,6 @@ from nia import (
     LengthMismatch,
     bce_loss,
     bernoulli_kl_pointwise,
-    build_theory_report,
     convergence_bound_rhs,
     cyclic_path_assignment,
     expected_kl_from_logits,
@@ -26,6 +25,8 @@ from nia import (
     stable_block,
     verify_decomposition,
 )
+from nia.config import parse_config
+from nia.experiments import run_experiment
 
 
 def _kl(p, q) -> float:
@@ -124,13 +125,13 @@ class TestVerifyDecomposition:
     def test_identical_predictor_gives_exact_zero(self, fitted_instance):
         ds, fit = fitted_instance
         star = ds.features @ fit.weights
-        assert verify_decomposition(ds, star, [star], range(1, 5)) == 0.0
+        assert verify_decomposition(ds.labels, star, [star]) == 0.0
 
     def test_zero_predictor_residual_small(self, fitted_instance):
         ds, fit = fitted_instance
         star = ds.features @ fit.weights
         zero = np.zeros(ds.n)
-        assert verify_decomposition(ds, star, [zero], range(1, 5)) <= 1e-8
+        assert verify_decomposition(ds.labels, star, [zero]) <= 1e-8
 
     def test_perturbed_coordinate(self, fitted_instance):
         ds, fit = fitted_instance
@@ -138,7 +139,7 @@ class TestVerifyDecomposition:
         theta_q = fit.weights.copy()
         theta_q[0] += 0.1
         zq = ds.features @ theta_q
-        assert verify_decomposition(ds, star, [zq], range(1, 5)) <= 1e-8
+        assert verify_decomposition(ds.labels, star, [zq]) <= 1e-8
         assert bce_loss(zq, ds.labels) > bce_loss(star, ds.labels)
 
     def test_residual_scales_with_gradient_tolerance(self):
@@ -151,7 +152,7 @@ class TestVerifyDecomposition:
             worst = 0.0
             for _ in range(10):
                 zq = ds.features @ (fit.weights + rng.uniform(-0.1, 0.1, 4))
-                worst = max(worst, verify_decomposition(ds, star, [zq], range(1, 5)))
+                worst = max(worst, verify_decomposition(ds.labels, star, [zq]))
             residuals[tol] = worst
         assert residuals[1e-6] >= 1e3 * residuals[1e-12]
 
@@ -165,22 +166,16 @@ class TestVerifyDecomposition:
         expected = max(
             abs(bce_loss(q, ds.labels) - ls - expected_kl_from_logits(star, q)) for q in qs
         )
-        assert verify_decomposition(ds, star, iter(qs), range(1, 5)) == expected
-        assert verify_decomposition(ds, star, [], range(1, 5)) == 0.0
+        assert verify_decomposition(ds.labels, star, iter(qs)) == expected
+        assert verify_decomposition(ds.labels, star, []) == 0.0
 
     def test_later_comparator_of_wrong_length(self, fitted_instance):
         ds, fit = fitted_instance
         star = ds.features @ fit.weights
         with pytest.raises(LengthMismatch):
-            verify_decomposition(ds, star, [star, star[:-1]], range(1, 5))
+            verify_decomposition(ds.labels, star, [star, star[:-1]])
         with pytest.raises(LengthMismatch):
-            verify_decomposition(ds, star[:-1], [star], range(1, 5))
-
-    def test_bad_feature_index(self, fitted_instance):
-        ds, fit = fitted_instance
-        star = ds.features @ fit.weights
-        with pytest.raises(InvalidDimension):
-            verify_decomposition(ds, star, [star], [0])
+            verify_decomposition(ds.labels, star[:-1], [star])
 
 
 class TestBoundFormulas:
@@ -223,17 +218,21 @@ class TestBoundFormulas:
             convergence_bound_rhs(1.0, 1.0, 8, 4)
 
     def test_theory_report_consistency(self):
-        rep = build_theory_report(b_x=1.5, b_g=2.0, m=3, depth=12, epsilon=0.1)
-        assert rep.rhs_residual_bound == pytest.approx(
-            residual_bound_rhs(2.0, 1.5, 3, 0.1), rel=1e-15
-        )
-        assert rep.rhs_convergence_bound == pytest.approx(
-            convergence_bound_rhs(2.0, 1.5, 3, 12), rel=1e-15
-        )
-        assert set(rep.to_dict()) == {
+        config = parse_config({
+            "instance": {"kind": "hard", "k": 3, "n": 2000, "seeds": [4]},
+            "graph": {"cyclic_depth": 12},
+        })
+        _, report = run_experiment(config)
+        theory = report["theory"]
+        assert set(theory) == {
             "b_x", "b_g", "m", "depth", "epsilon",
             "rhs_residual_bound", "rhs_convergence_bound",
         }
+        assert (theory["m"], theory["depth"]) == (3, 12)
+        b_x, b_g = theory["b_x"], theory["b_g"]
+        assert theory["epsilon"] == max(report["stable_block"]["drop"], 0.0)
+        assert theory["rhs_residual_bound"] == residual_bound_rhs(b_g, b_x, 3, theory["epsilon"])
+        assert theory["rhs_convergence_bound"] == convergence_bound_rhs(b_g, b_x, 3, 12)
 
 
 class TestStableBlock:
