@@ -11,7 +11,7 @@ import numpy as np
 from .config import ExperimentConfig, VerifyConfig
 from .data import Dataset
 from .errors import InvalidConfig
-from .graph import AgentGraph, check_m_coverage, cyclic_path_assignment
+from .graph import check_m_coverage, cyclic_path_assignment
 from .instances import (
     HardInstanceSpec,
     generate_hard_instance,
@@ -22,7 +22,7 @@ from .instances import (
     scaling_gradient,
 )
 from .io import SCAN_FIELDS, read_dataset_file, read_graph_file
-from .logistic import FitOptions, FitResult, fit_logistic, residual_moments
+from .logistic import FitOptions, FitResult, fit_logistic
 from .metrics import (
     bernoulli_kl_pointwise,
     convergence_bound_rhs,
@@ -31,7 +31,7 @@ from .metrics import (
     stable_block,
     verify_decomposition,
 )
-from .protocol import ProtocolTrace, agent_design, run_protocol, sink_excess_loss
+from .protocol import ProtocolTrace, run_protocol, sink_excess_loss
 
 C_RANGE_PASSES = (1, 2, 4, 8, 16, 64)
 COEFFICIENT_PASSES = (2, 3, 4, 5, 6)
@@ -225,26 +225,15 @@ def _suite(passed: bool, margin: float, threshold: float, **details) -> dict:
     }
 
 
-def orthogonality_suite(
-    dataset: Dataset, graph: AgentGraph, trace: ProtocolTrace, threshold: float = 1e-9
-) -> dict:
+def orthogonality_suite(trace: ProtocolTrace, threshold: float = 1e-9) -> dict:
     """Residual moments of every converged agent's own design at its fitted
     logits; all must vanish to within the threshold.
 
-    The moments are recomputed from the published columns rather than read
-    from each fit's ``grad_norm``, which includes the ridge term and would
-    let a regularized fit pass."""
-    worst = 0.0
-    unconverged = 0
-    for agent_id in graph.topo_order:
-        if not trace.models[agent_id].converged:
-            unconverged += 1
-            continue
-        design = agent_design(dataset, graph, agent_id, trace)
-        if design.shape[1] == 0:
-            continue
-        moments = residual_moments(design, trace.logits[agent_id], dataset.labels)
-        worst = max(worst, float(np.max(np.abs(moments))))
+    Each fit's ``moment_norm`` is read rather than its ``grad_norm``, which
+    includes the ridge term and would let a regularized fit pass."""
+    fits = trace.models.values()
+    worst = max((f.moment_norm for f in fits if f.converged), default=0.0)
+    unconverged = sum(not f.converged for f in fits)
     return _suite(
         worst <= threshold and unconverged == 0,
         threshold - worst,
@@ -361,17 +350,17 @@ def noise_monotonicity_suite(
 def verify_experiment(config: ExperimentConfig) -> dict:
     """Run every verification suite and aggregate a pass/fail report.
 
-    The two suites that read the protocol run go first; the decomposition
-    suite reuses its dataset unless ``n_decomposition`` differs from
-    ``n_protocol``. Each piece of the run is dropped once no suite needs it."""
+    The protocol run streams, keeping no column: the two suites that read it
+    need only its fits. The decomposition suite reuses its dataset unless
+    ``n_decomposition`` differs from ``n_protocol``, and the dataset is
+    dropped before the later suites."""
     vc: VerifyConfig = config.verify
     spec = HardInstanceSpec(k=vc.k, n=vc.n_protocol, seed=vc.seed)
     dataset = generate_hard_instance(spec)
     graph = cyclic_path_assignment(vc.k, vc.depth)
-    trace = run_protocol(dataset, graph, config.solver)
-    orthogonality = orthogonality_suite(dataset, graph, trace)
+    trace = run_protocol(dataset, graph, config.solver, keep_logits=False)
+    orthogonality = orthogonality_suite(trace)
     monotone_loss = monotone_loss_suite(trace)
-    del graph, trace
     if vc.n_decomposition != spec.n:
         del dataset  # before the second instance is generated
         dataset = generate_hard_instance(replace(spec, n=vc.n_decomposition))

@@ -118,9 +118,14 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitResult:
+    """One fit's weights and final state. ``moment_norm`` is the sup-norm of
+    ``residual_moments(design, design @ weights, labels)``; ``grad_norm`` is
+    that of the same moments plus the ridge term, so at ridge 0 they agree."""
+
     weights: np.ndarray
     loss: float
     grad_norm: float
+    moment_norm: float
     iterations: int
     converged: bool
     message: str = ""
@@ -261,7 +266,8 @@ def fit_logistic(
     eye = np.eye(m)
     converged, message = False, "max_iters reached"
     for it in range(opts.max_iters + 1):
-        grad = x.T @ np.subtract(e, y, out=zc) / n + opts.ridge * theta
+        moments = x.T @ np.subtract(e, y, out=zc) / n
+        grad = moments + opts.ridge * theta
         grad_norm = float(np.max(np.abs(grad), initial=0.0))
         if grad_norm <= opts.grad_tol:
             converged, message = True, ""
@@ -305,4 +311,5 @@ def fit_logistic(
 
     if carry is not None:
         carry.logits, carry.sigmoid, carry.loss, carry.labels = z, e, loss, y
-    return FitResult(theta, loss, grad_norm, it, converged, message)
+    moment_norm = float(np.max(np.abs(moments), initial=0.0))
+    return FitResult(theta, loss, grad_norm, moment_norm, it, converged, message)

@@ -6,8 +6,9 @@ logit column ``design @ weights``. The fit's loss is that column's loss, so
 each agent has one record, the ``FitResult`` its fit returned. A published
 column lives only until the last agent that reads it has built its design,
 so a run holds the graph's frontier of columns (two on a path), not n * D
-reals; callers that need every column (the logit dump, the orthogonality
-suite) ask ``run_protocol`` to keep them.
+reals; a caller that needs every column (the logit dump) asks
+``run_protocol`` to keep them. Each fit records the sup-norm of its residual
+moments, so the orthogonality suite needs no kept column.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Experiment drivers: run reports and scan grids beyond the CLI round trips."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -147,3 +148,31 @@ class TestVerifyExperiment:
         # The suite on separately generated data gives the same entry.
         separate = generate_hard_instance(HardInstanceSpec(k=3, n=n_decomposition, seed=1))
         assert report["suites"]["decomposition"] == decomposition_suite(separate, config)
+
+    def test_regularized_fits_fail_orthogonality(self):
+        # A ridge fit converges where its gradient vanishes; its residual
+        # moments then balance the ridge term, so the suite must fail it.
+        config = parse_config({
+            "solver": {"ridge": 1e-3},
+            "verify": self.SIZES | {"n_protocol": 2000, "n_decomposition": 2000},
+        })
+        suite = verify_experiment(config)["suites"]["orthogonality"]
+        assert suite["details"]["unconverged_agents"] == 0
+        assert suite["details"]["max_moment"] > 1e-9
+        assert suite["passed"] is False
+
+    def test_peak_memory_below_a_quarter_of_the_columns(self):
+        # The protocol run streams, so the peak is the dataset, the path's
+        # frontier and one fit's buffers: about 14 columns at k = 4, not the
+        # 64 published columns (77 in all) of a run that keeps them.
+        n, depth = 20_000, 64
+        config = parse_config({"verify": self.SIZES | {
+            "k": 4, "depth": depth, "n_protocol": n, "n_decomposition": n, "noise_samples": 2,
+        }})
+        tracemalloc.start()
+        try:
+            verify_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < depth // 4 * 8 * n, peak

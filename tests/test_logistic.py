@@ -173,7 +173,7 @@ class TestFitLogistic:
         fit = fit_logistic(np.empty((3, 0)), labels)
         assert fit.converged
         assert fit.weights.shape == (0,)
-        assert fit.grad_norm == 0.0
+        assert fit.grad_norm == fit.moment_norm == 0.0
         assert fit.loss == pytest.approx(LOG2, rel=1e-15)
 
     def test_agrees_with_independent_optimizer(self):
@@ -379,7 +379,7 @@ class TestWarmStart:
 
 def _assert_same_fit(a, b):
     assert a.weights.tobytes() == b.weights.tobytes()
-    fields = ("loss", "grad_norm", "iterations", "converged")
+    fields = ("loss", "grad_norm", "moment_norm", "iterations", "converged")
     assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
 
 

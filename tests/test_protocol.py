@@ -258,6 +258,31 @@ class TestRunProtocol:
                     assert model.loss <= best + 1e-12, (seed, agent)
 
 
+class TestMomentNorm:
+    """Each fit's ``moment_norm`` is the residual moments of its published
+    column, which the orthogonality suite reads in place of recomputing them."""
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-3])
+    @pytest.mark.parametrize(
+        "k, graph",
+        [(4, cyclic_path_assignment(4, 12)), (6, _layered_dag(3, 3))],
+        ids=["cyclic_path", "layered_3x3"],
+    )
+    def test_matches_published_column_moments_bitwise(self, k, graph, ridge):
+        ds = generate_hard_instance(HardInstanceSpec(k=k, n=20_000, seed=7))
+        trace = run_protocol(ds, graph, FitOptions(ridge=ridge), keep_logits=True)
+        assert trace.all_converged
+        for agent in graph.topo_order:
+            fit = trace.models[agent]
+            design = agent_design(ds, graph, agent, trace)
+            moments = residual_moments(design, trace.logits[agent], ds.labels)
+            assert fit.moment_norm == float(np.max(np.abs(moments))), agent
+        differ = [m.moment_norm != m.grad_norm for m in trace.models.values()]
+        # Without a ridge term the gradient is the moments; with one, a
+        # converged fit's moments balance the ridge term instead of vanishing.
+        assert all(differ) if ridge else not any(differ)
+
+
 class TestStreaming:
     """``keep_logits=False`` drops each column after its last reader."""
 
