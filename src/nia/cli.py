@@ -12,6 +12,7 @@ from .experiments import run_experiment, scan_experiment, verify_experiment
 from .instances import HardInstanceSpec, generate_hard_instance
 from .io import (
     SCAN_FIELDS,
+    LogitSpill,
     sha256_file,
     write_csv,
     write_dataset_file,
@@ -99,13 +100,20 @@ def cmd_generate(config: ExperimentConfig) -> int:
 
 def cmd_run(config: ExperimentConfig) -> int:
     out = _ensure_out(config)
-    trace, rep = run_experiment(config)
     trace_path = os.path.join(out, "trace.csv")
     report_path = os.path.join(out, "run_report.json")
-    write_trace_csv(trace_path, trace)
-    write_json(report_path, rep)
-    if config.dump_logits:
-        write_logit_dump(os.path.join(out, "logits.bin"), trace)
+    # The logit dump's columns are spilled to disk as they are published, so
+    # the run holds the graph's frontier of columns, not all of them.
+    spill = LogitSpill(out) if config.dump_logits else None
+    try:
+        trace, rep = run_experiment(config, publish=spill.write if spill else None)
+        write_trace_csv(trace_path, trace)
+        write_json(report_path, rep)
+        if spill:
+            write_logit_dump(os.path.join(out, "logits.bin"), spill)
+    finally:
+        if spill:
+            spill.close()
     print(f"wrote {trace_path}")
     print(f"wrote {report_path}")
     print(

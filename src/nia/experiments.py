@@ -5,6 +5,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
@@ -44,9 +45,14 @@ def global_logistic_fit(dataset: Dataset, opts: FitOptions) -> FitResult:
     return fit_logistic(dataset.features, dataset.labels, opts)
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[ProtocolTrace, dict]:
+def run_experiment(
+    config: ExperimentConfig, publish: Callable[[int, np.ndarray], object] | None = None
+) -> tuple[ProtocolTrace, dict]:
     """One protocol run plus the global fit, bound values, and diagnostics;
     returns (trace, report).
+
+    The protocol run streams, so the trace keeps no column; ``publish`` is
+    handed to ``run_protocol`` and sees each column as it is published.
 
     A cyclic path runs over the dataset's ``d`` features with window M
     defaulting to ``d``; a graph file's own ``d`` only bounds its feature
@@ -71,7 +77,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ProtocolTrace, dict]:
         window = gc.m if gc.m is not None else d
     else:
         graph, window = read_graph_file(gc.file)[0], gc.m
-    trace = run_protocol(dataset, graph, config.solver, keep_logits=config.dump_logits)
+    trace = run_protocol(dataset, graph, config.solver, keep_logits=False, publish=publish)
     gfit = global_logistic_fit(dataset, config.solver)
     excess = sink_excess_loss(trace, gfit)
     sink = trace.sink_id

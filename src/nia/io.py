@@ -25,9 +25,9 @@ from .protocol import ProtocolTrace
 
 DATASET_MAGIC = b"NIA1"
 
-# Rows per block of the logit dump: 64 KB per column (1.6 MB for 25), so a
-# block stays small next to the columns it is cut from.
-LOGIT_DUMP_BLOCK_ROWS = 1 << 13
+# Bytes per block buffer of the logit dump (it holds two), so the dump's
+# memory does not grow with the number of columns.
+LOGIT_DUMP_BLOCK_BYTES = 1 << 20
 
 TRACE_FIELDS = ("agent_id", "topo_pos", "loss", "grad_norm", "converged", "l1_weight_norm")
 
@@ -187,35 +187,79 @@ def write_trace_csv(path: str, trace: ProtocolTrace) -> None:
     write_csv(path, rows, TRACE_FIELDS)
 
 
-def write_logit_dump(path: str, trace: ProtocolTrace) -> None:
-    """Flat binary dump of all logit columns: u64 n, u64 D, then the n x D
-    column-per-agent matrix (topological order) row-major as little-endian
-    float64.
+class LogitSpill:
+    """Logit columns appended, in the order written, to an unnamed temporary
+    file as raw little-endian float64, for ``write_logit_dump``.
 
-    The matrix is written in row blocks cut from the columns, so the dump
-    never holds an n x D copy. The trace must come from a run that kept its
-    columns (``run_protocol(..., keep_logits=True)``).
+    ``write`` has the signature of ``run_protocol``'s ``publish``. The file
+    has no name, so nothing is left behind even if the process dies; close
+    the spill (or use it in a ``with`` statement) to free its disk space.
     """
-    if len(trace.logits) != len(trace.order):
-        raise NiaError("logit dump needs every column; run the protocol with keep_logits=True")
-    columns = [trace.logits[a] for a in trace.order]
-    n = columns[0].shape[0]
+
+    def __init__(self, directory: str) -> None:
+        self.file = tempfile.TemporaryFile(dir=directory)
+        self.lengths: list[int] = []
+
+    def write(self, agent_id: int, column: np.ndarray) -> None:
+        column = np.ascontiguousarray(column, dtype="<f8")
+        self.file.write(column)
+        self.lengths.append(column.size)
+
+    def close(self) -> None:
+        self.file.close()
+
+    def __enter__(self) -> LogitSpill:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def write_logit_dump(path: str, spill: LogitSpill) -> None:
+    """Flat binary dump of the spilled logit columns: u64 n, u64 D, then the
+    n x D matrix with one column per spilled column (in spill order, which a
+    protocol run makes topological) row-major as little-endian float64.
+
+    The matrix is built in row blocks read back from the spill with one
+    ``os.preadv`` per column segment, so the dump holds two block buffers of
+    at most ``LOGIT_DUMP_BLOCK_BYTES`` each (more only when one row is
+    larger), whatever n and D are. Until the spill is closed, disk holds the
+    columns twice.
+    """
+    lengths = spill.lengths
+    if not lengths:
+        raise NiaError("logit dump needs at least one column")
+    n, depth = lengths[0], len(lengths)
+    if any(length != n for length in lengths):
+        raise NiaError(f"logit dump needs columns of one length, got lengths {sorted(set(lengths))}")
+    spill.file.flush()
+    fd = spill.file.fileno()
+    rows = max(1, min(n, LOGIT_DUMP_BLOCK_BYTES // (8 * depth)))
+    segments = np.empty((depth, rows), dtype="<f8")  # one column's rows each
+    block = np.empty((rows, depth), dtype="<f8")
 
     def blocks():
-        for start in range(0, n, LOGIT_DUMP_BLOCK_ROWS):
-            rows = slice(start, start + LOGIT_DUMP_BLOCK_ROWS)
-            yield np.stack([col[rows] for col in columns], axis=1).astype("<f8", copy=False)
+        # Each yielded block is written before the next one overwrites it.
+        for start in range(0, n, rows):
+            m = min(rows, n - start)
+            for j in range(depth):
+                os.preadv(fd, [segments[j, :m]], 8 * (j * n + start))
+            block[:m] = segments[:, :m].T
+            yield block[:m]
 
-    atomic_write_bytes(path, itertools.chain([struct.pack("<QQ", n, len(columns))], blocks()))
+    atomic_write_bytes(path, itertools.chain([struct.pack("<QQ", n, depth)], blocks()))
 
 
 def read_logit_dump(path: str) -> np.ndarray:
+    """n x D matrix of a logit dump; the header and the file size are checked
+    before the matrix is read straight into the array returned."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 16:
-        raise NiaError(f"{path}: logit dump has {len(raw)} bytes, expected at least 16")
-    n, depth = struct.unpack_from("<QQ", raw, 0)
-    expected = 16 + 8 * n * depth
-    if len(raw) != expected:
-        raise NiaError(f"{path}: logit dump has {len(raw)} bytes, expected {expected}")
-    return np.frombuffer(raw, dtype="<f8", count=n * depth, offset=16).reshape(n, depth)
+        head = fh.read(16)
+        size = os.fstat(fh.fileno()).st_size
+        if len(head) < 16:
+            raise NiaError(f"{path}: logit dump has {size} bytes, expected at least 16")
+        n, depth = struct.unpack("<QQ", head)
+        expected = 16 + 8 * n * depth
+        if size != expected:
+            raise NiaError(f"{path}: logit dump has {size} bytes, expected {expected}")
+        return np.fromfile(fh, dtype="<f8", count=n * depth).reshape(n, depth)

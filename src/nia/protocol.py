@@ -6,15 +6,17 @@ logit column ``design @ weights``. The fit's loss is that column's loss, so
 each agent has one record, the ``FitResult`` its fit returned. A published
 column lives only until the last agent that reads it has built its design,
 so a run holds the graph's frontier of columns (two on a path), not n * D
-reals; a caller that needs every column (the logit dump) asks
-``run_protocol`` to keep them. Each fit records the sup-norm of its residual
-moments, so the orthogonality suite needs no kept column.
+reals; a caller that needs every column either asks ``run_protocol`` to keep
+them or takes each one as it is published (the logit dump spills them to
+disk). Each fit records the sup-norm of its residual moments, so the
+orthogonality suite needs no kept column.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -86,6 +88,7 @@ def run_protocol(
     graph: AgentGraph,
     opts: FitOptions | None = None,
     keep_logits: bool = True,
+    publish: Callable[[int, np.ndarray], object] | None = None,
 ) -> ProtocolTrace:
     """Execute the sequential protocol and return its trace.
 
@@ -105,6 +108,12 @@ def run_protocol(
     column no agent reads is never formed, so memory is bounded by the
     graph's frontier instead of n * D. Fits, losses and weights are bitwise
     the same either way; the returned ``logits`` is then empty.
+
+    ``publish(agent_id, column)``, when given, is called once per agent in
+    topological order with the column the agent publishes, before the next
+    agent is fitted. A streaming run with ``publish`` thus lets a caller see
+    every column while memory stays bounded by the frontier. The array is the
+    run's own, so the callee must not modify it.
 
     Each fit leaves its final state in one ``FitCarry`` passed to every fit,
     and the run publishes the fit's own final logits. An agent starting at
@@ -136,6 +145,8 @@ def run_protocol(
             best = np.argmin([trace.models[p].loss for p in parents])
             start[len(graph.feature_set(agent_id)) + int(best)] = 1.0
         trace.models[agent_id] = fit_logistic(design, dataset.labels, opts, start, carry)
+        if publish is not None:
+            publish(agent_id, carry.logits)
         if keep_logits or agent_id in last_reader:
             trace.logits[agent_id] = carry.logits
         del design  # before the next agent's design is built, not after

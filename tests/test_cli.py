@@ -2,9 +2,11 @@
 
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 
 import nia.protocol
 from nia.cli import main
+from nia.errors import NiaError
 
 FAST_VERIFY = {
     "seed": 1,
@@ -174,6 +177,53 @@ class TestRun:
         raw = (tmp_path / "out" / "logits.bin").read_bytes()
         assert int.from_bytes(raw[:8], "little") == 200
         assert int.from_bytes(raw[8:16], "little") == 4
+        # The spill the columns went through leaves no file behind.
+        assert sorted(os.listdir(tmp_path / "out")) == ["logits.bin", "run_report.json", "trace.csv"]
+
+    def test_logit_dump_run_failing_mid_path_leaves_no_dump(self, tmp_path, capsys, monkeypatch):
+        fit = nia.protocol.fit_logistic
+        fits = []
+
+        def failing_third_fit(*args):
+            fits.append(1)
+            if len(fits) == 3:
+                raise NiaError("injected fit failure")
+            return fit(*args)
+
+        monkeypatch.setattr(nia.protocol, "fit_logistic", failing_third_fit)
+        cfg = _write_config(
+            tmp_path,
+            {"instance": {"kind": "hard", "k": 2, "n": 200, "seeds": [1]},
+             "graph": {"cyclic_depth": 4},
+             "dump_logits": True,
+             "out_dir": "out"},
+        )
+        assert main(["run", "--config", cfg]) == 2
+        assert "injected fit failure" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_logit_dump_memory_holds_neither_columns_nor_grows_with_depth(self, tmp_path):
+        # Kept columns would cost n * D * 8 bytes. Block buffers sized in rows
+        # would grow with D, and at n = 2e4 they would set the peak; sized in
+        # bytes, quadrupling D may add at most one column to it.
+        peaks = {}
+        for n, depth in ((100_000, 64), (20_000, 16), (20_000, 64)):
+            cfg = _write_config(
+                tmp_path,
+                {"instance": {"kind": "hard", "k": 4, "n": n, "seeds": [1]},
+                 "graph": {"cyclic_depth": depth},
+                 "dump_logits": True,
+                 "out_dir": f"out_{n}_{depth}"},
+                name=f"run_{n}_{depth}.json",
+            )
+            tracemalloc.start()
+            try:
+                assert main(["run", "--config", cfg]) == 0
+                peaks[n, depth] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[100_000, 64] < 100_000 * 64 * 8 / 4, peaks
+        assert peaks[20_000, 64] - peaks[20_000, 16] <= 8 * 20_000, peaks
 
     def test_cyclic_path_over_file_dataset_spans_its_features(self, tmp_path, capsys):
         # An 8-feature dataset file under the default instance.k of 4: the

@@ -29,6 +29,7 @@ from nia.config import (
 from nia.io import (
     SCAN_FIELDS,
     TRACE_FIELDS,
+    LogitSpill,
     read_dataset_file,
     read_graph_file,
     read_logit_dump,
@@ -44,6 +45,16 @@ from nia.io import (
 @pytest.fixture()
 def small_dataset():
     return generate_hard_instance(HardInstanceSpec(k=3, n=64, seed=1))
+
+
+def _dump_streaming_run(path, dataset, graph):
+    """Write the logit dump of a streaming run through a spill; return the
+    columns of a run that kept them, stacked in topological order."""
+    with LogitSpill(str(path.parent)) as spill:
+        run_protocol(dataset, graph, keep_logits=False, publish=spill.write)
+        write_logit_dump(str(path), spill)
+    kept = run_protocol(dataset, graph)
+    return np.column_stack([kept.logits[a] for a in kept.order])
 
 
 class TestDatasetFormat:
@@ -173,29 +184,28 @@ class TestTraceAndScanCsv:
         assert values["error"] == ""
 
     def test_logit_dump_layout(self, small_dataset, tmp_path):
-        trace = run_protocol(small_dataset, cyclic_path_assignment(3, 4))
-        path = str(tmp_path / "logits.bin")
-        write_logit_dump(path, trace)
-        raw = open(path, "rb").read()
+        path = tmp_path / "logits.bin"
+        matrix = _dump_streaming_run(path, small_dataset, cyclic_path_assignment(3, 4))
+        raw = path.read_bytes()
         n = int.from_bytes(raw[:8], "little")
         depth = int.from_bytes(raw[8:16], "little")
         assert (n, depth) == (small_dataset.n, 4)
-        matrix = np.column_stack([trace.logits[a] for a in trace.order])
         assert raw[16:] == np.ascontiguousarray(matrix, dtype="<f8").tobytes()
-        assert np.array_equal(read_logit_dump(path), matrix)
+        assert np.array_equal(read_logit_dump(str(path)), matrix)
 
     def test_logit_dump_bytes_do_not_depend_on_block_rows(self, tmp_path, monkeypatch):
-        # 20000 rows in 7-row blocks, in 8192-row blocks (two full ones and a
-        # partial last one) and in one block longer than the columns.
-        n = 20_000
+        # 20000 rows of 4 columns in blocks of one row (a block buffer of
+        # fewer bytes than a row still takes one), of 8192 rows (two full
+        # ones and a partial last one) and of more rows than the columns.
+        n, depth = 20_000, 4
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=n, seed=1))
-        trace = run_protocol(ds, cyclic_path_assignment(3, 4))
-        matrix = np.column_stack([trace.logits[a] for a in trace.order])
-        want = n.to_bytes(8, "little") + (4).to_bytes(8, "little") + matrix.astype("<f8").tobytes()
-        for rows in (7, 8192, n + 1):
-            monkeypatch.setattr(nia.io, "LOGIT_DUMP_BLOCK_ROWS", rows)
-            write_logit_dump(str(tmp_path / "logits.bin"), trace)
-            assert (tmp_path / "logits.bin").read_bytes() == want, rows
+        graph = cyclic_path_assignment(3, depth)
+        for block_bytes in (1, 8 * depth * 8192, 8 * depth * (n + 1)):
+            monkeypatch.setattr(nia.io, "LOGIT_DUMP_BLOCK_BYTES", block_bytes)
+            path = tmp_path / "logits.bin"
+            matrix = _dump_streaming_run(path, ds, graph)
+            want = n.to_bytes(8, "little") + depth.to_bytes(8, "little") + matrix.astype("<f8").tobytes()
+            assert path.read_bytes() == want, block_bytes
 
     @pytest.mark.parametrize(
         "cut",
@@ -203,17 +213,24 @@ class TestTraceAndScanCsv:
         ids=["empty", "inside-header", "inside-matrix", "extra-byte"],
     )
     def test_logit_dump_of_wrong_length_rejected(self, small_dataset, tmp_path, cut):
-        trace = run_protocol(small_dataset, cyclic_path_assignment(3, 4))
         path = tmp_path / "logits.bin"
-        write_logit_dump(str(path), trace)
+        _dump_streaming_run(path, small_dataset, cyclic_path_assignment(3, 4))
         path.write_bytes(cut(path.read_bytes()))
         with pytest.raises(NiaError, match="logit dump has"):
             read_logit_dump(str(path))
 
-    def test_logit_dump_of_streaming_run_rejected(self, small_dataset, tmp_path):
-        trace = run_protocol(small_dataset, cyclic_path_assignment(3, 4), keep_logits=False)
-        with pytest.raises(NiaError, match="keep_logits"):
-            write_logit_dump(str(tmp_path / "logits.bin"), trace)
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [((), "at least one column"), ((5, 5, 4), "columns of one length")],
+        ids=["no-columns", "unequal-lengths"],
+    )
+    def test_logit_dump_of_malformed_spill_rejected(self, tmp_path, lengths, message):
+        with LogitSpill(str(tmp_path)) as spill:
+            for agent, length in enumerate(lengths, start=1):
+                spill.write(agent, np.zeros(length))
+            with pytest.raises(NiaError, match=message):
+                write_logit_dump(str(tmp_path / "logits.bin"), spill)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfig:

@@ -299,9 +299,16 @@ class TestStreaming:
     def test_streaming_run_matches_kept_columns_bitwise(self, k, graph):
         ds = generate_hard_instance(HardInstanceSpec(k=k, n=20_000, seed=3))
         kept = run_protocol(ds, graph)
-        streamed = run_protocol(ds, graph, keep_logits=False)
+        published = []
+        streamed = run_protocol(
+            ds, graph, keep_logits=False, publish=lambda a, col: published.append((a, col.copy()))
+        )
         assert set(kept.logits) == set(graph.topo_order)
         assert streamed.logits == {}
+        # publish sees every agent once, in topological order, with its column.
+        assert [a for a, _ in published] == list(graph.topo_order)
+        for agent, column in published:
+            assert column.tobytes() == kept.logits[agent].tobytes()
         assert streamed.loss_path().tobytes() == kept.loss_path().tobytes()
         for agent in graph.topo_order:
             assert streamed.models[agent].weights.tobytes() == kept.models[agent].weights.tobytes()
