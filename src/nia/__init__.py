@@ -40,7 +40,6 @@ from .instances import (
     noise_monotonicity_check,
     optimal_pass_coefficients,
     optimal_scaling_factor,
-    predicted_excess_curve,
     relevance_set,
     scaling_gradient,
     sigmoid_moment,
@@ -107,7 +106,6 @@ __all__ = [
     "noise_monotonicity_check",
     "optimal_pass_coefficients",
     "optimal_scaling_factor",
-    "predicted_excess_curve",
     "relevance_set",
     "residual_bound_rhs",
     "residual_moments",

@@ -128,7 +128,7 @@ def cmd_run(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_scan(config: ExperimentConfig, threads: int) -> int:
+def cmd_scan(config: ExperimentConfig, threads: int | None) -> int:
     out = _ensure_out(config)
     rows = scan_experiment(config, threads=threads)
     path = os.path.join(out, "scan.csv")
@@ -162,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(config)
         if args.command == "scan":
-            return cmd_scan(config, config.threads if args.threads is None else args.threads)
+            return cmd_scan(config, args.threads)
         if args.command == "verify":
             return cmd_verify(config)
     except NiaError as exc:

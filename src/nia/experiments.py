@@ -63,21 +63,21 @@ def run_experiment(
     inapplicable graph.
     """
     inst, gc = config.instance, config.graph
+    if gc is None:
+        raise InvalidConfig("this command requires a 'graph' section")
     seed = None
     if inst.kind == "file":
         dataset = read_dataset_file(inst.dataset)
     else:
         seed = inst.seeds[0]
         dataset = generate_hard_instance(HardInstanceSpec(k=inst.k, n=inst.n, seed=seed))
-    if gc is None:
-        raise InvalidConfig("this command requires a 'graph' section")
     d = dataset.d
     if gc.cyclic_depth is not None:
         graph = cyclic_path_assignment(d, gc.cyclic_depth)
         window = gc.m if gc.m is not None else d
     else:
         graph, window = read_graph_file(gc.file)[0], gc.m
-    trace = run_protocol(dataset, graph, config.solver, keep_logits=False, publish=publish)
+    trace = run_protocol(dataset, graph, config.solver, publish=publish)
     gfit = global_logistic_fit(dataset, config.solver)
     excess = sink_excess_loss(trace, gfit)
     sink = trace.sink_id
@@ -161,7 +161,7 @@ def _scan_seed_rows(
         gfit = global_logistic_fit(dataset, opts)
         path = cyclic_path_assignment(k, max(depth for depth, _ in grid))
         covered = {m: check_m_coverage(path, m, k).ok for _, m in grid}
-        losses = run_protocol(dataset, path, opts, keep_logits=False).loss_path()
+        losses = run_protocol(dataset, path, opts).loss_path()
         b_x = feature_second_moment_bound(dataset.features)
         rows = []
         for depth, m in grid:
@@ -192,7 +192,8 @@ def _scan_seed_rows(
 
 def scan_experiment(config: ExperimentConfig, threads: int | None = None) -> list[dict]:
     """Depth/pass scan: one row per (grid point, seed), ordered by
-    (depth, window, seed). Seeds run in parallel when threads > 1."""
+    (depth, window, seed). Seeds run in parallel when threads (default
+    ``config.threads``) > 1."""
     if config.instance.kind != "hard":
         raise InvalidConfig("scan currently supports the generated instance only")
     grid = _scan_grid(config)
@@ -299,12 +300,7 @@ def coefficient_suite(threshold: float = 1e-9) -> dict:
             closed = optimal_pass_coefficients(p, c)
             s_closed = -c * (p - 1) / p
             s_num, var_num = numeric_pass_coefficients(p, c)
-            worst = max(
-                worst,
-                abs(s_num - s_closed),
-                abs(var_num - closed.residual_variance),
-                abs(closed.noise_variance_scaled - 1.0),
-            )
+            worst = max(worst, abs(s_num - s_closed), abs(var_num - closed.residual_variance))
     return _suite(worst <= threshold, threshold - worst, threshold, max_deviation=worst)
 
 
@@ -364,7 +360,7 @@ def verify_experiment(config: ExperimentConfig) -> dict:
     spec = HardInstanceSpec(k=vc.k, n=vc.n_protocol, seed=vc.seed)
     dataset = generate_hard_instance(spec)
     graph = cyclic_path_assignment(vc.k, vc.depth)
-    trace = run_protocol(dataset, graph, config.solver, keep_logits=False)
+    trace = run_protocol(dataset, graph, config.solver)
     orthogonality = orthogonality_suite(trace)
     monotone_loss = monotone_loss_suite(trace)
     if vc.n_decomposition != spec.n:

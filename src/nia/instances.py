@@ -103,16 +103,13 @@ class PassPredictor:
     z = c * (Z_k + xi / sqrt(p)).
 
     ``coefficients`` are c_0..c_{p-1} on features x_k down to x_{k-p+1};
-    ``residual_variance`` is Var(z - c Z_k) and ``noise_variance_scaled`` is
-    its p / c^2 multiple (the variance of xi), which equals 1 at the
-    variance-minimizing coefficients.
+    ``residual_variance`` is Var(z - c Z_k).
     """
 
     p: int
     c: float
     coefficients: np.ndarray
     residual_variance: float
-    noise_variance_scaled: float
 
 
 def optimal_pass_coefficients(p: int, c: float) -> PassPredictor:
@@ -129,15 +126,7 @@ def optimal_pass_coefficients(p: int, c: float) -> PassPredictor:
         raise InvalidDimension("scale c must be finite")
     j = np.arange(p, dtype=np.float64)
     coeffs = c * (1.0 - j / p)
-    residual_variance = c * c / p
-    scaled = p * residual_variance / (c * c) if c != 0.0 else float("nan")
-    return PassPredictor(
-        p=p,
-        c=float(c),
-        coefficients=coeffs,
-        residual_variance=residual_variance,
-        noise_variance_scaled=scaled,
-    )
+    return PassPredictor(p=p, c=float(c), coefficients=coeffs, residual_variance=c * c / p)
 
 
 def numeric_pass_coefficients(p: int, c: float) -> tuple[float, float]:
@@ -329,20 +318,3 @@ def noise_monotonicity_check(
         )
         for (i, j), s in zip(pair_index, se)
     ]
-
-
-def predicted_excess_curve(k: int, passes) -> np.ndarray:
-    """Unnormalized excess-loss shape 1/(p+1) per pass; experiments fit a
-    single multiplicative constant against measured values.
-
-    The shape is a lower-bound shape, not a two-sided prediction, and it is
-    derived only for integer passes p <= k-1 (see ``relevance_set``). Beyond
-    that every feature has entered and the protocol's excess decays faster
-    than 1/(p+1). The values for p >= k are still returned, unchanged.
-    """
-    if k < 2:
-        raise InvalidDimension(f"need k >= 2, got {k}")
-    ps = np.asarray(list(passes), dtype=np.float64)
-    if ps.size == 0 or np.any(ps < 1):
-        raise InvalidDimension("pass indices must all be >= 1")
-    return 1.0 / (ps + 1.0)

@@ -5,11 +5,10 @@ local feature columns plus its parents' logit columns and publishes its own
 logit column ``design @ weights``. The fit's loss is that column's loss, so
 each agent has one record, the ``FitResult`` its fit returned. A published
 column lives only until the last agent that reads it has built its design,
-so a run holds the graph's frontier of columns (two on a path), not n * D
-reals; a caller that needs every column either asks ``run_protocol`` to keep
-them or takes each one as it is published (the logit dump spills them to
-disk). Each fit records the sup-norm of its residual moments, so the
-orthogonality suite needs no kept column.
+so every run holds the graph's frontier of columns (two on a path), not
+n * D reals; a caller that needs every column takes each one as it is
+published (the logit dump spills them to disk). Each fit records the sup-norm
+of its residual moments, so the orthogonality suite needs no kept column.
 """
 
 from __future__ import annotations
@@ -35,9 +34,9 @@ class ProtocolTrace:
     ``models[a]`` is agent a's ``FitResult`` as the fit returned it: its
     ``weights`` are the local feature weights (ascending feature index) then
     the parent logit weights (declared parent order), and its ``loss`` is
-    bitwise ``bce_loss(design @ weights, labels)``. ``logits[a]`` is that
-    published column; a run with ``keep_logits=False`` drops each column once
-    its last child has built its design and leaves ``logits`` empty.
+    bitwise ``bce_loss(design @ weights, labels)``. ``logits`` is the run's
+    frontier: ``logits[a]`` is agent a's published column from its fit until
+    its last child has built its design, so it is empty when the run returns.
     """
 
     order: tuple[int, ...]
@@ -87,7 +86,6 @@ def run_protocol(
     dataset: Dataset,
     graph: AgentGraph,
     opts: FitOptions | None = None,
-    keep_logits: bool = True,
     publish: Callable[[int, np.ndarray], object] | None = None,
 ) -> ProtocolTrace:
     """Execute the sequential protocol and return its trace.
@@ -103,16 +101,13 @@ def run_protocol(
     unconverged fit. Results are deterministic for fixed inputs under a fixed
     threading configuration.
 
-    With ``keep_logits=False`` a published column lives only until the last
-    agent that reads it (in topological order) has built its design, and a
-    column no agent reads is never formed, so memory is bounded by the
-    graph's frontier instead of n * D. Fits, losses and weights are bitwise
-    the same either way; the returned ``logits`` is then empty.
-
-    ``publish(agent_id, column)``, when given, is called once per agent in
-    topological order with the column the agent publishes, before the next
-    agent is fitted. A streaming run with ``publish`` thus lets a caller see
-    every column while memory stays bounded by the frontier. The array is the
+    The run streams: a published column lives only until the last agent
+    that reads it (in topological order) has built its design, and a column
+    no agent reads is never kept, so memory is bounded by the graph's
+    frontier instead of n * D and the returned ``logits`` is empty.
+    ``publish(agent_id, column)``, when given, is how a caller sees every
+    column: it is called once per agent in topological order with the column
+    the agent publishes, before the next agent is fitted. The array is the
     run's own, so the callee must not modify it.
 
     Each fit leaves its final state in one ``FitCarry`` passed to every fit,
@@ -134,11 +129,10 @@ def run_protocol(
     for agent_id in graph.topo_order:
         design = agent_design(dataset, graph, agent_id, trace)
         parents = graph.parents_of(agent_id)
-        if not keep_logits:
-            # The design holds its own copy of every parent column.
-            for parent in parents:
-                if last_reader[parent] == agent_id:
-                    del trace.logits[parent]
+        # The design holds its own copy of every parent column.
+        for parent in parents:
+            if last_reader[parent] == agent_id:
+                del trace.logits[parent]
         start = None
         if parents:
             start = np.zeros(design.shape[1])
@@ -147,7 +141,7 @@ def run_protocol(
         trace.models[agent_id] = fit_logistic(design, dataset.labels, opts, start, carry)
         if publish is not None:
             publish(agent_id, carry.logits)
-        if keep_logits or agent_id in last_reader:
+        if agent_id in last_reader:
             trace.logits[agent_id] = carry.logits
         del design  # before the next agent's design is built, not after
     return trace

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nia.experiments
 import nia.protocol
 from nia.cli import main
 from nia.errors import NiaError
@@ -325,6 +326,18 @@ class TestRun:
         cfg = _write_config(tmp_path, {"instance": {"kind": "hard", "k": 2, "n": 100}})
         assert main(["run", "--config", cfg]) == 2
         assert "graph" in capsys.readouterr().err
+
+    def test_run_without_graph_fails_before_generating(self, tmp_path, capsys, monkeypatch):
+        def no_generation(spec):
+            raise AssertionError("dataset generated before the graph section was checked")
+
+        monkeypatch.setattr(nia.experiments, "generate_hard_instance", no_generation)
+        cfg = _write_config(
+            tmp_path,
+            {"instance": {"kind": "hard", "k": 2, "n": 100, "seeds": [1]}, "out_dir": "out"},
+        )
+        assert main(["run", "--config", cfg]) == 2
+        assert "this command requires a 'graph' section" in capsys.readouterr().err
 
 
 class TestScan:

@@ -19,7 +19,6 @@ from nia import (
     noise_monotonicity_check,
     optimal_pass_coefficients,
     optimal_scaling_factor,
-    predicted_excess_curve,
     relevance_set,
     scaling_gradient,
     sigmoid,
@@ -144,7 +143,6 @@ class TestOptimalPassCoefficients:
         pp = optimal_pass_coefficients(1, 0.7)
         assert np.allclose(pp.coefficients, [0.7])
         assert pp.residual_variance == pytest.approx(0.49, rel=1e-14)
-        assert pp.noise_variance_scaled == pytest.approx(1.0, rel=1e-14)
 
     def test_two_passes_unit_scale(self):
         pp = optimal_pass_coefficients(2, 1.0)
@@ -160,7 +158,6 @@ class TestOptimalPassCoefficients:
                 s_num, var_num = numeric_pass_coefficients(p, c)
                 assert abs(s_num - (-c * (p - 1) / p)) <= 1e-9
                 assert abs(var_num - pp.residual_variance) <= 1e-9
-                assert pp.noise_variance_scaled == pytest.approx(1.0, rel=1e-12)
 
     def test_numeric_check_single_pass_has_no_differences(self):
         assert numeric_pass_coefficients(1, 0.7) == (0.0, 0.7 * 0.7)
@@ -403,18 +400,3 @@ class TestNoiseMonotonicity:
     def test_non_finite_scale_rejected(self, c):
         with pytest.raises(InvalidDimension, match="finite"):
             noise_monotonicity_check(c, [(0.5, 1.0)], 100, seed=0)[0]
-
-
-class TestPredictedExcessCurve:
-    def test_first_pass_value(self):
-        assert predicted_excess_curve(4, [1])[0] == pytest.approx(0.5, rel=1e-15)
-
-    def test_shape_ratio(self):
-        curve = predicted_excess_curve(4, [2, 5])
-        assert curve[0] / curve[1] == pytest.approx(2.0, rel=1e-15)
-
-    def test_invalid_passes_rejected(self):
-        with pytest.raises(InvalidDimension):
-            predicted_excess_curve(4, [0])
-        with pytest.raises(InvalidDimension):
-            predicted_excess_curve(4, [])

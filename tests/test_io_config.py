@@ -48,13 +48,14 @@ def small_dataset():
 
 
 def _dump_streaming_run(path, dataset, graph):
-    """Write the logit dump of a streaming run through a spill; return the
-    columns of a run that kept them, stacked in topological order."""
+    """Write the logit dump of a run through a spill; return the columns a
+    second run published, stacked in topological order."""
     with LogitSpill(str(path.parent)) as spill:
-        run_protocol(dataset, graph, keep_logits=False, publish=spill.write)
+        run_protocol(dataset, graph, publish=spill.write)
         write_logit_dump(str(path), spill)
-    kept = run_protocol(dataset, graph)
-    return np.column_stack([kept.logits[a] for a in kept.order])
+    columns = {}
+    order = run_protocol(dataset, graph, publish=columns.__setitem__).order
+    return np.column_stack([columns[a] for a in order])
 
 
 class TestDatasetFormat:

@@ -1,5 +1,6 @@
 """Stable BCE primitives and the damped-Newton fitter."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -357,7 +358,9 @@ class TestWarmStart:
 
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=5000, seed=5))
         graph = cyclic_path_assignment(3, 5)
-        trace = run_protocol(ds, graph)
+        columns = {}
+        trace = run_protocol(ds, graph, publish=columns.__setitem__)
+        trace = dataclasses.replace(trace, logits=columns)
         for agent in (4, 5):
             design = agent_design(ds, graph, agent, trace)
             assert design.flags.f_contiguous and not design.flags.c_contiguous

@@ -194,12 +194,13 @@ class TestBoundFormulas:
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=20_000, seed=5))
         graph = cyclic_path_assignment(3, 3)
         opts = FitOptions()
-        trace = run_protocol(ds, graph, opts)
+        columns = {}
+        trace = run_protocol(ds, graph, opts, publish=columns.__setitem__)
         gfit = fit_logistic(ds.features, ds.labels, opts)
         losses = trace.loss_path()
         epsilon = float(losses[0] - losses[-1])
         z_g = ds.features @ gfit.weights
-        p_sink = sigmoid(trace.logits[trace.sink_id])
+        p_sink = sigmoid(columns[trace.sink_id])
         lhs = abs(float(np.mean((p_sink - ds.labels) * z_g)))
         b_x = feature_second_moment_bound(ds.features)
         rhs = residual_bound_rhs(gfit.l1_norm, b_x, 3, epsilon)

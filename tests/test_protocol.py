@@ -1,5 +1,6 @@
 """Protocol engine: designs, sequential runs, excess loss."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -33,6 +34,14 @@ LOG2 = math.log(2.0)
 
 def _empty_trace(order=()):
     return ProtocolTrace(order=tuple(order), models={}, logits={})
+
+
+def _run_with_columns(ds, graph, opts=None):
+    # The run streams; the columns it publishes, collected as they appear,
+    # let agent_design rebuild any agent's design after the run.
+    columns = {}
+    trace = run_protocol(ds, graph, opts, publish=columns.__setitem__)
+    return dataclasses.replace(trace, logits=columns)
 
 
 def _diamond_dag():
@@ -124,7 +133,7 @@ class TestAgentDesign:
     def test_cyclic_second_pass_columns(self, dataset):
         # First agent of pass 2 sees feature 1 plus the pass-1 sink logit.
         g = cyclic_path_assignment(3, 4)
-        trace = run_protocol(dataset, g)
+        trace = _run_with_columns(dataset, g)
         design = agent_design(dataset, g, 4, trace)
         assert np.array_equal(design[:, 0], dataset.features[:, 0])
         assert np.array_equal(design[:, 1], trace.logits[3])
@@ -143,7 +152,7 @@ class TestRunProtocol:
         # Agents seeing only label-independent feature columns fit nothing
         # but sampling noise: tiny logit columns, losses at the prior.
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=100_000, seed=1))
-        trace = run_protocol(ds, cyclic_path_assignment(3, 3))
+        trace = _run_with_columns(ds, cyclic_path_assignment(3, 3))
         for agent in (1, 2):
             z = trace.logits[agent]
             assert float(np.linalg.norm(z)) / math.sqrt(ds.n) <= 0.01
@@ -174,7 +183,7 @@ class TestRunProtocol:
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=20_000, seed=10))
         g = cyclic_path_assignment(3, 6)
         opts = FitOptions()
-        trace = run_protocol(ds, g, opts)
+        trace = _run_with_columns(ds, g, opts)
         assert trace.all_converged
         for agent in g.topo_order:
             design = agent_design(ds, g, agent, trace)
@@ -184,7 +193,7 @@ class TestRunProtocol:
     def test_published_columns_match_weights_exactly(self):
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=5000, seed=12))
         g = cyclic_path_assignment(3, 5)
-        trace = run_protocol(ds, g)
+        trace = _run_with_columns(ds, g)
         for agent in g.topo_order:
             model = trace.models[agent]
             design = agent_design(ds, g, agent, trace)
@@ -196,8 +205,8 @@ class TestRunProtocol:
         # scan driver relies on this to share one run across a depth grid.
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=10_000, seed=3))
         opts = FitOptions()
-        short = run_protocol(ds, cyclic_path_assignment(3, 6), opts)
-        long = run_protocol(ds, cyclic_path_assignment(3, 12), opts)
+        short = _run_with_columns(ds, cyclic_path_assignment(3, 6), opts)
+        long = _run_with_columns(ds, cyclic_path_assignment(3, 12), opts)
         for agent in range(1, 7):
             assert np.array_equal(short.logits[agent], long.logits[agent])
             assert short.models[agent].loss == long.models[agent].loss
@@ -205,8 +214,8 @@ class TestRunProtocol:
     def test_deterministic_trace(self):
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=5000, seed=8))
         g = cyclic_path_assignment(3, 6)
-        a = run_protocol(ds, g)
-        b = run_protocol(ds, g)
+        a = _run_with_columns(ds, g)
+        b = _run_with_columns(ds, g)
         assert a.loss_path().tolist() == b.loss_path().tolist()
         for agent in g.topo_order:
             assert np.array_equal(a.logits[agent], b.logits[agent])
@@ -227,7 +236,7 @@ class TestRunProtocol:
     def test_diamond_dag_multi_parent_agent(self):
         ds = generate_hard_instance(HardInstanceSpec(k=4, n=20_000, seed=17))
         g = _diamond_dag()
-        trace = run_protocol(ds, g)
+        trace = _run_with_columns(ds, g)
         assert trace.all_converged
         for agent in g.topo_order:
             model = trace.models[agent]
@@ -243,7 +252,7 @@ class TestRunProtocol:
         g = _layered_dag()
         for seed in range(1, 21):
             ds = generate_hard_instance(HardInstanceSpec(k=8, n=20_000, seed=seed))
-            trace = run_protocol(ds, g)
+            trace = _run_with_columns(ds, g)
             for agent in g.topo_order:
                 model = trace.models[agent]
                 assert model.converged, (seed, agent)
@@ -270,7 +279,7 @@ class TestMomentNorm:
     )
     def test_matches_published_column_moments_bitwise(self, k, graph, ridge):
         ds = generate_hard_instance(HardInstanceSpec(k=k, n=20_000, seed=7))
-        trace = run_protocol(ds, graph, FitOptions(ridge=ridge), keep_logits=True)
+        trace = _run_with_columns(ds, graph, FitOptions(ridge=ridge))
         assert trace.all_converged
         for agent in graph.topo_order:
             fit = trace.models[agent]
@@ -284,7 +293,8 @@ class TestMomentNorm:
 
 
 class TestStreaming:
-    """``keep_logits=False`` drops each column after its last reader."""
+    """Every run keeps a column only until its last reader has built its
+    design; ``publish`` is how a caller sees every column."""
 
     @pytest.mark.parametrize(
         "k, graph",
@@ -297,21 +307,20 @@ class TestStreaming:
         ids=["cyclic_path", "diamond", "layered_6x4", "skip_edge"],
     )
     def test_streaming_run_matches_kept_columns_bitwise(self, k, graph):
+        # The kept columns are the ones the caller collects from publish.
         ds = generate_hard_instance(HardInstanceSpec(k=k, n=20_000, seed=3))
-        kept = run_protocol(ds, graph)
         published = []
-        streamed = run_protocol(
-            ds, graph, keep_logits=False, publish=lambda a, col: published.append((a, col.copy()))
-        )
-        assert set(kept.logits) == set(graph.topo_order)
-        assert streamed.logits == {}
-        # publish sees every agent once, in topological order, with its column.
+        trace = run_protocol(ds, graph, publish=lambda a, col: published.append((a, col)))
+        assert trace.logits == {}
         assert [a for a, _ in published] == list(graph.topo_order)
+        # Checked after the run, so later fits left the published arrays alone.
+        columns = dict(published)
+        full = dataclasses.replace(trace, logits=columns)
         for agent, column in published:
-            assert column.tobytes() == kept.logits[agent].tobytes()
-        assert streamed.loss_path().tobytes() == kept.loss_path().tobytes()
-        for agent in graph.topo_order:
-            assert streamed.models[agent].weights.tobytes() == kept.models[agent].weights.tobytes()
+            model = trace.models[agent]
+            design = agent_design(ds, graph, agent, full)
+            assert column.tobytes() == (design @ model.weights).tobytes(), agent
+            assert model.loss == bce_loss(column, ds.labels), agent
 
     def test_streaming_peak_memory_does_not_grow_with_depth(self):
         # A path holds at most two columns at a time, so quadrupling the depth
@@ -323,7 +332,7 @@ class TestStreaming:
             graph = cyclic_path_assignment(4, depth)
             tracemalloc.start()
             try:
-                run_protocol(ds, graph, keep_logits=False)
+                run_protocol(ds, graph)
                 peaks[depth] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -359,9 +368,9 @@ class TestCarriedState:
             return fit_logistic(design, labels, opts, start, carry)
 
         monkeypatch.setattr(nia.protocol, "fit_logistic", carried)
-        with_state = run_protocol(ds, graph)
+        with_state = _run_with_columns(ds, graph)
         monkeypatch.setattr(nia.protocol, "fit_logistic", cleared)
-        without = run_protocol(ds, graph)
+        without = _run_with_columns(ds, graph)
         if carried_fits is None:
             # Some agent's best parent is not the agent fitted just before it.
             assert 0 < sum(reused) < len(reused) - 1, reused
@@ -379,7 +388,7 @@ class TestCarriedState:
         # its column is the product at pass-through.
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=20_000, seed=9))
         graph = build_agent_graph([(1, 2), (2, 3)], [{1}, {2, 3}, set()], d=3)
-        trace = run_protocol(ds, graph)
+        trace = _run_with_columns(ds, graph)
         for agent, start in ((1, None), (3, [1.0])):
             f_design = agent_design(ds, graph, agent, trace)
             c_design = np.ascontiguousarray(f_design[:, 0]).reshape(-1, 1)
