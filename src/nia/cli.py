@@ -40,11 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--seed", type=int, help="replace instance.seeds with [N] and set verify.seed to N"
         )
-        cmd.add_argument(
-            "--threads",
-            type=int,
-            help="parallel replicates (overrides config)",
-        )
+        if name == "scan":
+            cmd.add_argument("--threads", type=int, help="parallel replicates (overrides config)")
     return parser
 
 
@@ -61,21 +58,13 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
         )
     if args.out is not None:
         config = dataclasses.replace(config, out_dir=args.out)
-    # --threads stays out of the config so that it does not change config_hash.
-    if args.threads is not None and args.threads < 1:
-        raise InvalidConfig(f"--threads must be >= 1, got {args.threads}")
     return config
-
-
-def _ensure_out(config: ExperimentConfig) -> str:
-    os.makedirs(config.out_dir, exist_ok=True)
-    return config.out_dir
 
 
 def cmd_generate(config: ExperimentConfig) -> int:
     if config.instance.kind != "hard":
         raise NiaError("generate requires instance.kind='hard'")
-    out = _ensure_out(config)
+    out = config.out_dir
     k, n = config.instance.k, config.instance.n
     for seed in config.instance.seeds:
         dataset = generate_hard_instance(HardInstanceSpec(k=k, n=n, seed=seed))
@@ -99,7 +88,7 @@ def cmd_generate(config: ExperimentConfig) -> int:
 
 
 def cmd_run(config: ExperimentConfig) -> int:
-    out = _ensure_out(config)
+    out = config.out_dir
     trace_path = os.path.join(out, "trace.csv")
     report_path = os.path.join(out, "run_report.json")
     # The logit dump's columns are spilled to disk as they are published, so
@@ -129,9 +118,11 @@ def cmd_run(config: ExperimentConfig) -> int:
 
 
 def cmd_scan(config: ExperimentConfig, threads: int | None) -> int:
-    out = _ensure_out(config)
+    # --threads stays out of the config so that it does not change config_hash.
+    if threads is not None and threads < 1:
+        raise InvalidConfig(f"--threads must be >= 1, got {threads}")
     rows = scan_experiment(config, threads=threads)
-    path = os.path.join(out, "scan.csv")
+    path = os.path.join(config.out_dir, "scan.csv")
     write_csv(path, rows, SCAN_FIELDS)
     failures = sum(1 for r in rows if r["error"])
     print(f"wrote {path} ({len(rows)} rows, {failures} failed points)")
@@ -139,9 +130,8 @@ def cmd_scan(config: ExperimentConfig, threads: int | None) -> int:
 
 
 def cmd_verify(config: ExperimentConfig) -> int:
-    out = _ensure_out(config)
     report = verify_experiment(config)
-    path = os.path.join(out, "verify_report.json")
+    path = os.path.join(config.out_dir, "verify_report.json")
     write_json(path, report)
     for name, suite in report["suites"].items():
         status = "PASS" if suite["passed"] else "FAIL"

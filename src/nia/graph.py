@@ -46,17 +46,9 @@ class AgentGraph:
     def is_path(self) -> bool:
         """True iff the graph is a simple path: one source, every other
         agent has exactly one parent, and edges follow the topo order."""
-        if self.num_agents == 0:
-            return False
-        counts = [len(p) for p in self.parents]
-        if sorted(counts) != [0] + [1] * (self.num_agents - 1):
-            return False
         order = self.topo_order
-        if self.parents_of(order[0]) != ():
-            return False
-        return all(
-            self.parents_of(order[i]) == (order[i - 1],)
-            for i in range(1, self.num_agents)
+        return self.parents_of(order[0]) == () and all(
+            self.parents_of(b) == (a,) for a, b in zip(order, order[1:])
         )
 
 

@@ -58,8 +58,10 @@ def _fmt(x) -> str:
 def atomic_write_bytes(path: str, parts: Iterable) -> None:
     """Write the buffers ``parts`` one after another to ``path``, atomically;
     each part is anything ``write`` accepts (bytes, a contiguous array).
-    ``parts`` is consumed lazily, so a generator holds one part at a time."""
+    ``parts`` is consumed lazily, so a generator holds one part at a time.
+    A missing parent directory is created."""
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -191,22 +193,28 @@ class LogitSpill:
     """Logit columns appended, in the order written, to an unnamed temporary
     file as raw little-endian float64, for ``write_logit_dump``.
 
-    ``write`` has the signature of ``run_protocol``'s ``publish``. The file
-    has no name, so nothing is left behind even if the process dies; close
-    the spill (or use it in a ``with`` statement) to free its disk space.
+    ``write`` has the signature of ``run_protocol``'s ``publish``. The first
+    ``write`` creates ``directory`` if needed and opens the file there. The
+    file has no name, so nothing is left behind even if the process dies;
+    close the spill (or use it in a ``with`` statement) to free its disk space.
     """
 
     def __init__(self, directory: str) -> None:
-        self.file = tempfile.TemporaryFile(dir=directory)
+        self.directory = directory
+        self.file = None
         self.lengths: list[int] = []
 
     def write(self, agent_id: int, column: np.ndarray) -> None:
+        if self.file is None:
+            os.makedirs(self.directory, exist_ok=True)
+            self.file = tempfile.TemporaryFile(dir=self.directory)
         column = np.ascontiguousarray(column, dtype="<f8")
         self.file.write(column)
         self.lengths.append(column.size)
 
     def close(self) -> None:
-        self.file.close()
+        if self.file is not None:
+            self.file.close()
 
     def __enter__(self) -> LogitSpill:
         return self

@@ -189,9 +189,10 @@ def fit_logistic(
     linear combination of the agent's own features, which makes H singular.
     The minimum-norm step gives the dependent directions no weight, so the
     fit converges where an exact solve would return huge weights. A step that
-    does not descend (a zero Hessian from saturated logits) is replaced by
-    steepest descent; if no progress is possible the result is returned with
-    converged=False and a diagnostic message rather than raising.
+    does not descend, or whose line search finds no Armijo point, is
+    replaced by steepest descent; if no progress is possible the result is
+    returned with converged=False and a diagnostic message rather than
+    raising.
 
     Each iterate costs one exponential over the rows: the line search keeps
     the accepted candidate's loss and exp(-|z|), from which the next
@@ -284,26 +285,27 @@ def fit_logistic(
         # and lstsq gives the dependent directions no weight.
         step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
         slope = float(grad @ step)
-        if slope >= 0:
-            # Steepest descent when the Newton direction does not descend
-            # (a zero Hessian from saturated logits).
-            step = -grad
-            slope = -float(grad @ grad)
+        # Steepest descent when the Newton direction does not descend (a zero
+        # Hessian from saturated logits) or when no backtracked length of it
+        # descends (a near-zero Hessian makes it huge).
+        directions = [(step, slope)] if slope < 0 else []
+        directions.append((-grad, -float(grad @ grad)))
 
         f0 = loss + _ridge_penalty(theta, opts.ridge)
-        t = opts.init_step
         slack = 4.0 * np.finfo(np.float64).eps * (1.0 + abs(f0))
         accepted = False
-        while t >= _MIN_STEP:
-            cand = theta + t * step
-            lc = mean_bce(product(cand, zc), ec, e)
-            if lc + _ridge_penalty(cand, opts.ridge) <= f0 + _ARMIJO_C1 * t * slope + slack:
+        for step, slope in directions:
+            t = opts.init_step
+            while not accepted and t >= _MIN_STEP:
+                cand = theta + t * step
+                lc = mean_bce(product(cand, zc), ec, e)
+                accepted = lc + _ridge_penalty(cand, opts.ridge) <= f0 + _ARMIJO_C1 * t * slope + slack
+                t *= opts.backtrack
+            if accepted:
                 theta, loss = cand, lc
                 z, zc, e, ec = zc, z, ec, e
                 _sigmoid_from_exp(z, e, e, zc)
-                accepted = True
                 break
-            t *= opts.backtrack
         if not accepted:
             e = None
             message = "line search stalled; Hessian may be singular"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -36,7 +36,8 @@ class ProtocolTrace:
     the parent logit weights (declared parent order), and its ``loss`` is
     bitwise ``bce_loss(design @ weights, labels)``. ``logits`` is the run's
     frontier: ``logits[a]`` is agent a's published column from its fit until
-    its last child has built its design, so it is empty when the run returns.
+    its last child has built its design, so it is empty when the run returns
+    (it is kept for the benchmark's tracer); ``publish`` gives the columns.
     """
 
     order: tuple[int, ...]
@@ -61,10 +62,12 @@ def agent_design(
     dataset: Dataset,
     graph: AgentGraph,
     agent_id: int,
-    trace: ProtocolTrace,
+    columns: Mapping[int, np.ndarray],
 ) -> np.ndarray:
     """Design matrix for one agent: local features in ascending index order,
-    then parent logit columns in declared parent order; each is contiguous."""
+    then its parents' published columns ``columns[p]`` in declared parent
+    order; each is contiguous. After a run, ``columns`` is the dict that
+    ``run_protocol(..., publish=columns.__setitem__)`` filled."""
     idx = [l - 1 for l in sorted(graph.feature_set(agent_id))]
     parents = graph.parents_of(agent_id)
     design = np.empty((len(idx) + len(parents), dataset.n))
@@ -76,9 +79,9 @@ def agent_design(
             rows = slice(start, start + _DESIGN_BLOCK_ROWS)
             design[: len(idx), rows] = dataset.features[rows][:, idx].T
     for i, parent in enumerate(parents, start=len(idx)):
-        if parent not in trace.logits:
+        if parent not in columns:
             raise MissingParent(f"agent {agent_id} needs logits of agent {parent}")
-        design[i] = trace.logits[parent]
+        design[i] = columns[parent]
     return design.T
 
 
@@ -127,7 +130,7 @@ def run_protocol(
     trace = ProtocolTrace(order=graph.topo_order, models={}, logits={})
     carry = FitCarry()
     for agent_id in graph.topo_order:
-        design = agent_design(dataset, graph, agent_id, trace)
+        design = agent_design(dataset, graph, agent_id, trace.logits)
         parents = graph.parents_of(agent_id)
         # The design holds its own copy of every parent column.
         for parent in parents:

@@ -86,6 +86,32 @@ class TestGenerate:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_out_flag_overrides_config_out_dir(self, tmp_path):
+        cfg = _write_config(
+            tmp_path,
+            {"instance": {"kind": "hard", "k": 3, "n": 50, "seeds": [1]},
+             "out_dir": "from_config"},
+        )
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "from_flag")]) == 0
+        assert (tmp_path / "from_flag" / "dataset_k3_n50_seed1.nia").exists()
+        assert not (tmp_path / "from_config").exists()
+
+    def test_file_instance_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "data.nia").write_bytes(b"")
+        cfg = _write_config(
+            tmp_path,
+            {"instance": {"kind": "file", "dataset": "data.nia"}, "out_dir": "out"},
+        )
+        assert main(["generate", "--config", cfg]) == 2
+        assert "generate requires instance.kind='hard'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_threads_flag_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["generate", "--threads", "7"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --threads 7" in capsys.readouterr().err
+
 
 class TestRun:
     def test_trace_and_report(self, tmp_path, capsys):
@@ -339,6 +365,15 @@ class TestRun:
         assert main(["run", "--config", cfg]) == 2
         assert "this command requires a 'graph' section" in capsys.readouterr().err
 
+    def test_run_without_graph_creates_no_out_dir(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path,
+            {"instance": {"kind": "hard", "k": 2, "n": 100, "seeds": [1]}, "out_dir": "res"},
+        )
+        assert main(["run", "--config", cfg]) == 2
+        assert "graph" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
 
 class TestScan:
     def test_rows_columns_and_formulas(self, tmp_path):
@@ -412,6 +447,44 @@ class TestScan:
             with open(tmp_path / "out" / "scan.csv") as fh:
                 hashes.append({row["config_hash"] for row in csv.DictReader(fh)})
         assert hashes[0] == hashes[1] and len(hashes[0]) == 1
+
+    def test_scan_without_scan_section_creates_no_out_dir(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path,
+            {"instance": {"kind": "hard", "k": 2, "n": 100, "seeds": [1]}, "out_dir": "res"},
+        )
+        assert main(["scan", "--config", cfg]) == 2
+        assert "scan" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
+    def test_failing_seed_recorded_per_point(self, tmp_path, capsys, monkeypatch):
+        generate = nia.experiments.generate_hard_instance
+
+        def failing_seed_2(spec):
+            if spec.seed == 2:
+                raise NiaError("injected generation failure")
+            return generate(spec)
+
+        monkeypatch.setattr(nia.experiments, "generate_hard_instance", failing_seed_2)
+        cfg = _write_config(
+            tmp_path,
+            {"instance": {"kind": "hard", "k": 2, "n": 400, "seeds": [1, 2]},
+             "scan": {"depths": [2, 4]},
+             "out_dir": "out"},
+        )
+        assert main(["scan", "--config", cfg]) == 0
+        assert "(4 rows, 2 failed points)" in capsys.readouterr().out
+        with open(tmp_path / "out" / "scan.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        numeric = ("sink_loss", "global_loss", "excess", "upper_bound", "lower_shape")
+        assert [(r["D"], r["seed"]) for r in rows] == [("2", "1"), ("2", "2"), ("4", "1"), ("4", "2")]
+        for row in rows:
+            if row["seed"] == "2":
+                assert row["error"] == "NiaError: injected generation failure"
+                assert all(row[f] == "" for f in numeric)
+            else:
+                assert row["error"] == ""
+                assert all(row[f] != "" for f in numeric)
 
     def test_window_exceeding_depth_rejected(self, tmp_path, capsys):
         cfg = _write_config(

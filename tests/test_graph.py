@@ -25,7 +25,24 @@ class TestBuildAgentGraph:
     def test_path_is_its_own_topological_order(self):
         g = build_agent_graph([(1, 2), (2, 3)], [{1}, {2}, {1}], d=2)
         assert g.topo_order == (1, 2, 3)
-        assert g.is_path()
+
+    @pytest.mark.parametrize(
+        "edges, expected",
+        [
+            ([(1, 2), (2, 3)], True),
+            ([], True),
+            ([(3, 1), (1, 2)], True),
+            ([(1, 2), (1, 3)], False),
+            ([(1, 3), (2, 3)], False),
+            ([(1, 2), (2, 3), (1, 3)], False),
+            ([(1, 2), (3, 4)], False),
+        ],
+        ids=["path", "single_agent", "ids_out_of_order", "fork", "merge", "skip_edge", "two_chains"],
+    )
+    def test_is_path(self, edges, expected):
+        agents = max((max(e) for e in edges), default=1)
+        g = build_agent_graph(edges, [{1}] * agents, d=1)
+        assert g.is_path() is expected
 
     def test_two_cycle_rejected(self):
         with pytest.raises(CycleDetected):

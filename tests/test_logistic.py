@@ -1,6 +1,5 @@
 """Stable BCE primitives and the damped-Newton fitter."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -346,6 +345,16 @@ class TestWarmStart:
         assert again.iterations == 0
         assert np.array_equal(again.weights, cold.weights)
 
+    @pytest.mark.parametrize("start", [40.0, 36.5, -40.0])
+    def test_saturated_start_converges(self, start):
+        # A constant column under balanced labels has its optimum at weight 0.
+        # At these starts the Hessian is 0 (above 36.5) or so small that the
+        # Newton step is 1e15 or longer, and no backtracked length descends.
+        fit = fit_logistic(np.ones((4, 1)), [0.0, 1.0, 1.0, 0.0], start=[start])
+        assert fit.converged, fit.message
+        assert abs(fit.weights[0]) <= 1e-9
+        assert fit.loss == pytest.approx(LOG2, abs=1e-12)
+
     def test_loss_is_bce_of_final_logits(self, problem):
         # Every iterate's logits are the product design @ weights, so the
         # loss is bitwise that of the column a caller publishes, for a
@@ -359,10 +368,9 @@ class TestWarmStart:
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=5000, seed=5))
         graph = cyclic_path_assignment(3, 5)
         columns = {}
-        trace = run_protocol(ds, graph, publish=columns.__setitem__)
-        trace = dataclasses.replace(trace, logits=columns)
+        run_protocol(ds, graph, publish=columns.__setitem__)
         for agent in (4, 5):
-            design = agent_design(ds, graph, agent, trace)
+            design = agent_design(ds, graph, agent, columns)
             assert design.flags.f_contiguous and not design.flags.c_contiguous
             fit = fit_logistic(design, ds.labels, start=[0.5, 0.5])
             assert fit.iterations > 0

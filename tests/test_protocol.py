@@ -1,6 +1,5 @@
 """Protocol engine: designs, sequential runs, excess loss."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -27,13 +26,8 @@ from nia import (
 )
 import nia.protocol
 from nia.logistic import FitCarry
-from nia.protocol import ProtocolTrace
 
 LOG2 = math.log(2.0)
-
-
-def _empty_trace(order=()):
-    return ProtocolTrace(order=tuple(order), models={}, logits={})
 
 
 def _run_with_columns(ds, graph, opts=None):
@@ -41,7 +35,7 @@ def _run_with_columns(ds, graph, opts=None):
     # let agent_design rebuild any agent's design after the run.
     columns = {}
     trace = run_protocol(ds, graph, opts, publish=columns.__setitem__)
-    return dataclasses.replace(trace, logits=columns)
+    return trace, columns
 
 
 def _diamond_dag():
@@ -93,21 +87,20 @@ def dataset():
 class TestAgentDesign:
     def test_source_agent_single_column(self, dataset):
         g = build_agent_graph([], [{2}], d=3)
-        design = agent_design(dataset, g, 1, _empty_trace((1,)))
+        design = agent_design(dataset, g, 1, {})
         assert np.array_equal(design[:, 0], dataset.features[:, 1])
 
     def test_local_features_then_parent_logits(self, dataset):
         g = build_agent_graph([(1, 2)], [{3}, {1}], d=3)
-        trace = _empty_trace((1, 2))
-        trace.logits[1] = np.arange(float(dataset.n))
-        design = agent_design(dataset, g, 2, trace)
+        columns = {1: np.arange(float(dataset.n))}
+        design = agent_design(dataset, g, 2, columns)
         assert design.shape == (dataset.n, 2)
         assert np.array_equal(design[:, 0], dataset.features[:, 0])
-        assert np.array_equal(design[:, 1], trace.logits[1])
+        assert np.array_equal(design[:, 1], columns[1])
 
     def test_feature_columns_in_ascending_index_order(self, dataset):
         g = build_agent_graph([], [{3, 1}], d=3)
-        design = agent_design(dataset, g, 1, _empty_trace((1,)))
+        design = agent_design(dataset, g, 1, {})
         assert np.array_equal(design[:, 0], dataset.features[:, 0])
         assert np.array_equal(design[:, 1], dataset.features[:, 2])
 
@@ -118,25 +111,24 @@ class TestAgentDesign:
             HardInstanceSpec(k=3, n=2 * nia.protocol._DESIGN_BLOCK_ROWS + 77, seed=2)
         )
         g = build_agent_graph([(1, 2)], [{1}, features], d=3)
-        trace = _empty_trace((1, 2))
-        trace.logits[1] = np.arange(float(ds.n))
-        design = agent_design(ds, g, 2, trace)
-        cols = [ds.features[:, l - 1] for l in sorted(features)] + [trace.logits[1]]
+        columns = {1: np.arange(float(ds.n))}
+        design = agent_design(ds, g, 2, columns)
+        cols = [ds.features[:, l - 1] for l in sorted(features)] + [columns[1]]
         assert np.array_equal(design, np.stack(cols).T)
         assert design.flags.f_contiguous
 
     def test_missing_parent(self, dataset):
         g = build_agent_graph([(1, 2)], [{1}, {2}], d=3)
         with pytest.raises(MissingParent):
-            agent_design(dataset, g, 2, _empty_trace((1, 2)))
+            agent_design(dataset, g, 2, {})
 
     def test_cyclic_second_pass_columns(self, dataset):
         # First agent of pass 2 sees feature 1 plus the pass-1 sink logit.
         g = cyclic_path_assignment(3, 4)
-        trace = _run_with_columns(dataset, g)
-        design = agent_design(dataset, g, 4, trace)
+        _, columns = _run_with_columns(dataset, g)
+        design = agent_design(dataset, g, 4, columns)
         assert np.array_equal(design[:, 0], dataset.features[:, 0])
-        assert np.array_equal(design[:, 1], trace.logits[3])
+        assert np.array_equal(design[:, 1], columns[3])
 
 
 class TestRunProtocol:
@@ -152,9 +144,9 @@ class TestRunProtocol:
         # Agents seeing only label-independent feature columns fit nothing
         # but sampling noise: tiny logit columns, losses at the prior.
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=100_000, seed=1))
-        trace = _run_with_columns(ds, cyclic_path_assignment(3, 3))
+        trace, columns = _run_with_columns(ds, cyclic_path_assignment(3, 3))
         for agent in (1, 2):
-            z = trace.logits[agent]
+            z = columns[agent]
             assert float(np.linalg.norm(z)) / math.sqrt(ds.n) <= 0.01
             assert abs(trace.models[agent].loss - LOG2) <= 1e-4
         assert trace.models[3].loss < LOG2 - 1e-3
@@ -183,42 +175,42 @@ class TestRunProtocol:
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=20_000, seed=10))
         g = cyclic_path_assignment(3, 6)
         opts = FitOptions()
-        trace = _run_with_columns(ds, g, opts)
+        trace, columns = _run_with_columns(ds, g, opts)
         assert trace.all_converged
         for agent in g.topo_order:
-            design = agent_design(ds, g, agent, trace)
-            moments = residual_moments(design, trace.logits[agent], ds.labels)
+            design = agent_design(ds, g, agent, columns)
+            moments = residual_moments(design, columns[agent], ds.labels)
             assert np.max(np.abs(moments)) <= 10 * opts.grad_tol
 
     def test_published_columns_match_weights_exactly(self):
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=5000, seed=12))
         g = cyclic_path_assignment(3, 5)
-        trace = _run_with_columns(ds, g)
+        trace, columns = _run_with_columns(ds, g)
         for agent in g.topo_order:
             model = trace.models[agent]
-            design = agent_design(ds, g, agent, trace)
-            assert np.array_equal(trace.logits[agent], design @ model.weights)
-            assert model.loss == bce_loss(trace.logits[agent], ds.labels)
+            design = agent_design(ds, g, agent, columns)
+            assert np.array_equal(columns[agent], design @ model.weights)
+            assert model.loss == bce_loss(columns[agent], ds.labels)
 
     def test_prefix_stability(self):
         # A shorter cyclic run is bitwise the prefix of a longer one; the
         # scan driver relies on this to share one run across a depth grid.
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=10_000, seed=3))
         opts = FitOptions()
-        short = _run_with_columns(ds, cyclic_path_assignment(3, 6), opts)
-        long = _run_with_columns(ds, cyclic_path_assignment(3, 12), opts)
+        short, short_columns = _run_with_columns(ds, cyclic_path_assignment(3, 6), opts)
+        long, long_columns = _run_with_columns(ds, cyclic_path_assignment(3, 12), opts)
         for agent in range(1, 7):
-            assert np.array_equal(short.logits[agent], long.logits[agent])
+            assert np.array_equal(short_columns[agent], long_columns[agent])
             assert short.models[agent].loss == long.models[agent].loss
 
     def test_deterministic_trace(self):
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=5000, seed=8))
         g = cyclic_path_assignment(3, 6)
-        a = _run_with_columns(ds, g)
-        b = _run_with_columns(ds, g)
+        a, a_columns = _run_with_columns(ds, g)
+        b, b_columns = _run_with_columns(ds, g)
         assert a.loss_path().tolist() == b.loss_path().tolist()
         for agent in g.topo_order:
-            assert np.array_equal(a.logits[agent], b.logits[agent])
+            assert np.array_equal(a_columns[agent], b_columns[agent])
 
     def test_feature_index_beyond_dataset_rejected(self):
         ds = generate_hard_instance(HardInstanceSpec(k=2, n=100, seed=0))
@@ -236,14 +228,14 @@ class TestRunProtocol:
     def test_diamond_dag_multi_parent_agent(self):
         ds = generate_hard_instance(HardInstanceSpec(k=4, n=20_000, seed=17))
         g = _diamond_dag()
-        trace = _run_with_columns(ds, g)
+        trace, columns = _run_with_columns(ds, g)
         assert trace.all_converged
         for agent in g.topo_order:
             model = trace.models[agent]
-            design = agent_design(ds, g, agent, trace)
-            moments = residual_moments(design, trace.logits[agent], ds.labels)
+            design = agent_design(ds, g, agent, columns)
+            moments = residual_moments(design, columns[agent], ds.labels)
             assert np.max(np.abs(moments)) <= 1e-9
-            assert np.array_equal(trace.logits[agent], design @ model.weights)
+            assert np.array_equal(columns[agent], design @ model.weights)
         # One local weight, then one per parent.
         assert trace.models[4].weights[1:].shape == (2,)
         assert trace.models[4].loss <= min(trace.models[2].loss, trace.models[3].loss) + 1e-12
@@ -252,15 +244,15 @@ class TestRunProtocol:
         g = _layered_dag()
         for seed in range(1, 21):
             ds = generate_hard_instance(HardInstanceSpec(k=8, n=20_000, seed=seed))
-            trace = _run_with_columns(ds, g)
+            trace, columns = _run_with_columns(ds, g)
             for agent in g.topo_order:
                 model = trace.models[agent]
                 assert model.converged, (seed, agent)
-                design = agent_design(ds, g, agent, trace)
-                moments = residual_moments(design, trace.logits[agent], ds.labels)
+                design = agent_design(ds, g, agent, columns)
+                moments = residual_moments(design, columns[agent], ds.labels)
                 assert np.max(np.abs(moments)) <= 1e-9, (seed, agent)
-                assert np.array_equal(trace.logits[agent], design @ model.weights), (seed, agent)
-                assert model.loss == bce_loss(trace.logits[agent], ds.labels), (seed, agent)
+                assert np.array_equal(columns[agent], design @ model.weights), (seed, agent)
+                assert model.loss == bce_loss(columns[agent], ds.labels), (seed, agent)
                 parents = g.parents_of(agent)
                 if parents:
                     best = min(trace.models[p].loss for p in parents)
@@ -279,12 +271,12 @@ class TestMomentNorm:
     )
     def test_matches_published_column_moments_bitwise(self, k, graph, ridge):
         ds = generate_hard_instance(HardInstanceSpec(k=k, n=20_000, seed=7))
-        trace = _run_with_columns(ds, graph, FitOptions(ridge=ridge))
+        trace, columns = _run_with_columns(ds, graph, FitOptions(ridge=ridge))
         assert trace.all_converged
         for agent in graph.topo_order:
             fit = trace.models[agent]
-            design = agent_design(ds, graph, agent, trace)
-            moments = residual_moments(design, trace.logits[agent], ds.labels)
+            design = agent_design(ds, graph, agent, columns)
+            moments = residual_moments(design, columns[agent], ds.labels)
             assert fit.moment_norm == float(np.max(np.abs(moments))), agent
         differ = [m.moment_norm != m.grad_norm for m in trace.models.values()]
         # Without a ridge term the gradient is the moments; with one, a
@@ -315,10 +307,9 @@ class TestStreaming:
         assert [a for a, _ in published] == list(graph.topo_order)
         # Checked after the run, so later fits left the published arrays alone.
         columns = dict(published)
-        full = dataclasses.replace(trace, logits=columns)
         for agent, column in published:
             model = trace.models[agent]
-            design = agent_design(ds, graph, agent, full)
+            design = agent_design(ds, graph, agent, columns)
             assert column.tobytes() == (design @ model.weights).tobytes(), agent
             assert model.loss == bce_loss(column, ds.labels), agent
 
@@ -368,9 +359,9 @@ class TestCarriedState:
             return fit_logistic(design, labels, opts, start, carry)
 
         monkeypatch.setattr(nia.protocol, "fit_logistic", carried)
-        with_state = _run_with_columns(ds, graph)
+        with_state, with_columns = _run_with_columns(ds, graph)
         monkeypatch.setattr(nia.protocol, "fit_logistic", cleared)
-        without = _run_with_columns(ds, graph)
+        without, without_columns = _run_with_columns(ds, graph)
         if carried_fits is None:
             # Some agent's best parent is not the agent fitted just before it.
             assert 0 < sum(reused) < len(reused) - 1, reused
@@ -380,7 +371,7 @@ class TestCarriedState:
             a, b = with_state.models[agent], without.models[agent]
             assert a.weights.tobytes() == b.weights.tobytes(), agent
             assert (a.loss, a.iterations, a.grad_norm) == (b.loss, b.iterations, b.grad_norm)
-            assert with_state.logits[agent].tobytes() == without.logits[agent].tobytes()
+            assert with_columns[agent].tobytes() == without_columns[agent].tobytes()
 
     def test_width_one_column_is_the_product(self):
         # The first agent of a path (one feature, no parent) iterates from
@@ -388,9 +379,9 @@ class TestCarriedState:
         # its column is the product at pass-through.
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=20_000, seed=9))
         graph = build_agent_graph([(1, 2), (2, 3)], [{1}, {2, 3}, set()], d=3)
-        trace = _run_with_columns(ds, graph)
+        trace, columns = _run_with_columns(ds, graph)
         for agent, start in ((1, None), (3, [1.0])):
-            f_design = agent_design(ds, graph, agent, trace)
+            f_design = agent_design(ds, graph, agent, columns)
             c_design = np.ascontiguousarray(f_design[:, 0]).reshape(-1, 1)
             assert f_design.strides != c_design.strides
             for design in (f_design, c_design):
@@ -399,7 +390,7 @@ class TestCarriedState:
                 assert fit.iterations == trace.models[agent].iterations
                 assert fit.weights.tobytes() == trace.models[agent].weights.tobytes()
                 assert carry.logits.tobytes() == (design @ fit.weights).tobytes()
-                assert carry.logits.tobytes() == trace.logits[agent].tobytes()
+                assert carry.logits.tobytes() == columns[agent].tobytes()
                 assert fit.loss == bce_loss(carry.logits, ds.labels)
 
 
@@ -445,10 +436,16 @@ class TestSinkExcessLoss:
         assert np.mean(two_pass) < np.mean(one_pass)
 
     def test_warns_when_global_fit_unconverged(self):
+        # Either side missing its tolerance warns: the global fit, or the sink.
         ds = generate_hard_instance(HardInstanceSpec(k=2, n=2000, seed=2))
         g = cyclic_path_assignment(2, 2)
+        capped = FitOptions(max_iters=1)
         trace = run_protocol(ds, g)
-        bad_global = fit_logistic(ds.features, ds.labels, FitOptions(max_iters=1))
+        bad_global = fit_logistic(ds.features, ds.labels, capped)
         assert not bad_global.converged
-        with pytest.warns(NotConvergedWarning):
+        with pytest.warns(NotConvergedWarning, match="global fit did not converge"):
             sink_excess_loss(trace, bad_global)
+        bad_trace = run_protocol(ds, g, capped)
+        assert not bad_trace.models[bad_trace.sink_id].converged
+        with pytest.warns(NotConvergedWarning, match="sink agent 2 did not converge"):
+            sink_excess_loss(bad_trace, fit_logistic(ds.features, ds.labels))
