@@ -160,6 +160,10 @@ def _value(tp, value, where: str, base_dir: str):
         if not isinstance(value, tp):
             raise TypeError(f"expected a JSON {tp.__name__}, got {value!r}")
         return value
+    # An int or float field takes a JSON number: float("1e-3") would take a
+    # string, and a bool is an int.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {value!r}")
     if tp is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return tp(value)

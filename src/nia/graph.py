@@ -6,6 +6,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .errors import CycleDetected, IndexOutOfRange, InvalidDimension, InvalidGraph, NotAPath
 
 
@@ -54,9 +56,10 @@ class AgentGraph:
 
 def checked_int(value, where: str) -> int:
     """``int(value)``, so "2", 2.0 and numpy integers are 2; a fractional
-    number raises InvalidGraph naming it rather than being truncated."""
+    number or a boolean raises InvalidGraph naming it rather than being
+    converted."""
     try:
-        out = int(value)
+        out = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or (not isinstance(value, (str, bytes)) and out != value):

@@ -1,7 +1,7 @@
 """Binary cross-entropy evaluation and damped-Newton logistic regression.
 
 All losses and gradients are empirical means over the supplied rows. The
-solver is a plain Newton iteration with backtracking line search, started
+solver is a plain Newton iteration with a step-halving line search, started
 from a caller-supplied point (the protocol passes its best parent's
 pass-through) or from zero; per-agent problems in this package are
 low-dimensional, so Newton reaches gradient sup-norms near machine
@@ -25,7 +25,9 @@ from .errors import DimensionMismatch, LengthMismatch, NonFinite
 # BCE has no finite minimizer on separable data.
 WEIGHT_NORM_CAP = 1e4
 
+# The line search tries step lengths 1, 1/2, 1/4, ... down to _MIN_STEP.
 _ARMIJO_C1 = 1e-4
+_STEP_SHRINK = 0.5
 _MIN_STEP = 1e-12
 
 # Rows per block of the Hessian sum and the loss's scratch up to width 4; wider
@@ -85,13 +87,13 @@ def bce_loss(logits, labels) -> float:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Termination and damping parameters for fit_logistic.
+    """Termination parameters for fit_logistic.
 
-    ``ridge`` adds 0.5 * ridge * ||theta||^2 to the objective; identity
-    suites must keep it at 0 because exact residual orthogonality needs the
-    unregularized stationarity condition. There is no bias term: the
-    protocol's predictors are linear in their design columns, and a caller
-    that wants a bias appends an all-ones column to the design.
+    The objective is unregularized empirical BCE, whose gradient is the
+    residual moments, so exact residual orthogonality is the stationarity
+    condition. There is no bias term: the protocol's predictors are linear in
+    their design columns, and a caller that wants a bias appends an all-ones
+    column to the design.
 
     These fields are also the ``solver`` section of an experiment config,
     so their defaults here are the config defaults.
@@ -99,33 +101,22 @@ class FitOptions:
 
     grad_tol: float = 1e-10
     max_iters: int = 100
-    ridge: float = 0.0
-    backtrack: float = 0.5
-    init_step: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.ridge >= 0:
-            raise ValueError("ridge must be >= 0")
-        if not 0 < self.backtrack < 1:
-            raise ValueError("backtrack factor must be in (0, 1)")
-        if not self.init_step > 0:
-            raise ValueError("init_step must be positive")
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """One fit's weights and final state. ``moment_norm`` is the sup-norm of
-    ``residual_moments(design, design @ weights, labels)``; ``grad_norm`` is
-    that of the same moments plus the ridge term, so at ridge 0 they agree."""
+    """One fit's weights and final state. ``grad_norm`` is the sup-norm of
+    the gradient, ``residual_moments(design, design @ weights, labels)``."""
 
     weights: np.ndarray
     loss: float
     grad_norm: float
-    moment_norm: float
     iterations: int
     converged: bool
     message: str = ""
@@ -141,8 +132,8 @@ class FitResult:
 def residual_moments(design, logits, labels) -> np.ndarray:
     """Per-column empirical mean of x_l * (sigmoid(z) - y).
 
-    At an exact unregularized BCE optimum these moments vanish; they are the
-    gradient components of the empirical loss.
+    At an exact BCE optimum these moments vanish; they are the gradient
+    components of the empirical loss.
     """
     x = np.asarray(design, dtype=np.float64)
     z = np.asarray(logits, dtype=np.float64).ravel()
@@ -152,10 +143,6 @@ def residual_moments(design, logits, labels) -> np.ndarray:
             f"design {x.shape}, logits {z.shape[0]}, labels {y.shape[0]} do not align"
         )
     return x.T @ (sigmoid(z) - y) / x.shape[0]
-
-
-def _ridge_penalty(theta: np.ndarray, ridge: float) -> float:
-    return 0.5 * ridge * float(theta @ theta) if ridge > 0 else 0.0
 
 
 @dataclass
@@ -178,7 +165,7 @@ def fit_logistic(
     The logits are ``design @ weights`` with no bias term; append an
     all-ones column to the design to fit one. Damped Newton from ``start``
     (default the zero vector, one entry per column): take the minimum-norm
-    solution of H step = -grad, backtrack until the Armijo condition holds
+    solution of H step = -grad, halve it until the Armijo condition holds
     (with a rounding-slack term so steps near machine precision are not
     rejected), stop when the gradient sup-norm reaches ``grad_tol``. A
     ``start`` that is already optimal returns with zero iterations. A
@@ -264,11 +251,9 @@ def fit_logistic(
         loss = mean_bce(z, e, zc)
         _sigmoid_from_exp(z, e, e, zc)
 
-    eye = np.eye(m)
     converged, message = False, "max_iters reached"
     for it in range(opts.max_iters + 1):
-        moments = x.T @ np.subtract(e, y, out=zc) / n
-        grad = moments + opts.ridge * theta
+        grad = x.T @ np.subtract(e, y, out=zc) / n
         grad_norm = float(np.max(np.abs(grad), initial=0.0))
         if grad_norm <= opts.grad_tol:
             converged, message = True, ""
@@ -280,27 +265,26 @@ def fit_logistic(
             break
 
         w = np.multiply(e, np.subtract(1.0, e, out=zc), out=zc)
-        hess = sum((x[b].T * w[b]) @ x[b] for b, _ in blocks) / n + opts.ridge * eye
+        hess = sum((x[b].T * w[b]) @ x[b] for b, _ in blocks) / n
         # Minimum-norm step: collinear columns leave the Hessian singular,
         # and lstsq gives the dependent directions no weight.
         step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
         slope = float(grad @ step)
         # Steepest descent when the Newton direction does not descend (a zero
-        # Hessian from saturated logits) or when no backtracked length of it
+        # Hessian from saturated logits) or when no halved length of it
         # descends (a near-zero Hessian makes it huge).
         directions = [(step, slope)] if slope < 0 else []
         directions.append((-grad, -float(grad @ grad)))
 
-        f0 = loss + _ridge_penalty(theta, opts.ridge)
-        slack = 4.0 * np.finfo(np.float64).eps * (1.0 + abs(f0))
+        slack = 4.0 * np.finfo(np.float64).eps * (1.0 + abs(loss))
         accepted = False
         for step, slope in directions:
-            t = opts.init_step
+            t = 1.0
             while not accepted and t >= _MIN_STEP:
                 cand = theta + t * step
                 lc = mean_bce(product(cand, zc), ec, e)
-                accepted = lc + _ridge_penalty(cand, opts.ridge) <= f0 + _ARMIJO_C1 * t * slope + slack
-                t *= opts.backtrack
+                accepted = lc <= loss + _ARMIJO_C1 * t * slope + slack
+                t *= _STEP_SHRINK
             if accepted:
                 theta, loss = cand, lc
                 z, zc, e, ec = zc, z, ec, e
@@ -313,5 +297,4 @@ def fit_logistic(
 
     if carry is not None:
         carry.logits, carry.sigmoid, carry.loss, carry.labels = z, e, loss, y
-    moment_norm = float(np.max(np.abs(moments), initial=0.0))
-    return FitResult(theta, loss, grad_norm, moment_norm, it, converged, message)
+    return FitResult(theta, loss, grad_norm, it, converged, message)

@@ -128,7 +128,11 @@ def _population_cyclic_path(k: int, depth: int) -> list[np.ndarray]:
         span = np.column_stack([rows[i % k], u])
         proj = span @ np.linalg.lstsq(span, e_k, rcond=None)[0]
         r = float(np.linalg.norm(proj))
-        if r > 1e-12:
+        if r >= 1.0:
+            # At r = 1 the root is s = 1 exactly; r can round above 1, where
+            # [0, 1] would bracket no sign change.
+            u = proj / r
+        elif r > 1e-12:
             s = brentq(
                 lambda s: gauss_hermite_expectation(lambda g: g * sigmoid(s * g)) - m * r,
                 0.0,
@@ -352,6 +356,12 @@ class TestCriterion5StructuralDiagnostics:
         detail = "; ".join(lines)
         _report("5 structural diagnostics", ok, detail)
         assert ok, detail
+
+    def test_population_helper_reaches_e_k(self):
+        # From about depth 76 at k = 4 the projection's norm rounds above 1; the
+        # helper still runs, and by depth 128 it publishes e_k itself.
+        u = _population_cyclic_path(K, 128)[-1]
+        assert np.max(np.abs(u - np.eye(K)[-1])) <= 1e-12
 
 
 class TestCriterion6GradientCheck:

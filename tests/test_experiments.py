@@ -149,12 +149,12 @@ class TestVerifyExperiment:
         separate = generate_hard_instance(HardInstanceSpec(k=3, n=n_decomposition, seed=1))
         assert report["suites"]["decomposition"] == decomposition_suite(separate, config)
 
-    def test_regularized_fits_fail_orthogonality(self):
-        # A ridge fit converges where its gradient vanishes; its residual
-        # moments then balance the ridge term, so the suite must fail it.
+    def test_loosely_converged_fits_fail_orthogonality(self):
+        # Every fit converges to grad_tol 1e-3, so its residual moments are
+        # small but do not vanish, and the suite must fail it.
         config = parse_config({
-            "solver": {"ridge": 1e-3},
-            "verify": self.SIZES | {"n_protocol": 2000, "n_decomposition": 2000},
+            "solver": {"grad_tol": 1e-3},
+            "verify": self.SIZES | {"n_protocol": 3000, "n_decomposition": 3000},
         })
         suite = verify_experiment(config)["suites"]["orthogonality"]
         assert suite["details"]["unconverged_agents"] == 0

@@ -78,6 +78,13 @@ class TestBuildAgentGraph:
         with pytest.raises(InvalidGraph, match=value):
             build_agent_graph(edges, sets, d=2)
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_boolean_ids_and_indices_rejected(self, flag):
+        with pytest.raises(InvalidGraph, match="feature index"):
+            build_agent_graph([], [{flag}], d=2)
+        with pytest.raises(InvalidGraph, match="edge end"):
+            build_agent_graph([(flag, 2)], [{1}, {2}], d=2)
+
     def test_integral_floats_and_numpy_integers_accepted(self):
         g = build_agent_graph([(np.int64(1), 2.0)], [{1.0}, {np.int32(2)}], d=2)
         assert g.feature_sets == (frozenset({1}), frozenset({2}))

@@ -11,6 +11,7 @@ import nia.io
 from nia import (
     HardInstanceSpec,
     InvalidConfig,
+    InvalidGraph,
     NiaError,
     cyclic_path_assignment,
     generate_hard_instance,
@@ -157,6 +158,24 @@ class TestGraphFormat:
             json.dumps({"d": 1, "agents": [{"id": 2, "features": [1], "parents": []}]})
         )
         with pytest.raises(NiaError):
+            read_graph_file(str(path))
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"d": 2, "agents": [{"id": True, "features": [True], "parents": []}]},
+            {"d": 2, "agents": [{"id": 1, "features": [True], "parents": []}]},
+            {"d": True, "agents": [{"id": 1, "features": [1], "parents": []}]},
+            {"d": 2, "agents": [{"id": 1, "features": [1], "parents": []},
+                                {"id": 2, "features": [2], "parents": [True]}]},
+        ],
+        ids=["id", "feature", "d", "parent"],
+    )
+    def test_booleans_rejected(self, tmp_path, obj):
+        # JSON true is not agent or feature 1.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(InvalidGraph, match="must be an integer, got True"):
             read_graph_file(str(path))
 
 
@@ -313,13 +332,19 @@ class TestConfig:
             ({"verify": {"k": "x"}}, "verify.k"),
             ({"threads": "two"}, "threads"),
             ({"solver": {"max_iters": 0}}, "solver"),
-            ({"solver": {"ridge": "nan"}}, "solver"),
+            ({"solver": {"grad_tol": float("nan")}}, "solver"),
             ({"instance": {"k": 4.7}}, "instance.k"),
             ({"instance": {"seeds": [1.5]}}, "instance.seeds"),
             ({"scan": {"depths": [8.9]}}, "scan.depths"),
             ({"verify": {"noise_scale": "nan"}}, "verify.noise_scale"),
             ({"verify": {"decomposition_perturbations": 0}}, "verify.decomposition_perturbations"),
             ({"verify": {"decomposition_grad_tol": 0}}, "verify.decomposition_grad_tol"),
+            ({"instance": {"n": "100"}}, "instance.n"),
+            ({"instance": {"n": True}}, "instance.n"),
+            ({"solver": {"grad_tol": "1e-3"}}, "solver.grad_tol"),
+            ({"scan": {"depths": ["4"]}}, "scan.depths"),
+            ({"threads": True}, "threads"),
+            ({"verify": {"noise_scale": float("inf")}}, "verify.noise_scale"),
         ],
     )
     def test_malformed_value_is_invalid_config(self, tmp_path, capsys, obj, key):
@@ -339,8 +364,7 @@ class TestConfig:
         "obj",
         [
             {},
-            {"solver": {"grad_tol": 1e-10, "max_iters": 100, "ridge": 0, "backtrack": 0.5,
-                        "init_step": 1}},
+            {"solver": {"grad_tol": 1e-10, "max_iters": 100}},
             {"instance": {"kind": "hard", "k": 4, "n": 100000, "seeds": [1]},
              "threads": 1, "dump_logits": False},
             {"instance": {"k": 4.0}},
@@ -349,8 +373,8 @@ class TestConfig:
     def test_default_config_hash_pinned(self, obj):
         # Written defaults hash like absent ones; a change to the hash breaks
         # the comparison of reports with earlier runs.
-        assert parse_config(obj).config_hash() == "6e06e0204a88"
-        assert ExperimentConfig().config_hash() == "6e06e0204a88"
+        assert parse_config(obj).config_hash() == "56a43fedc4a6"
+        assert ExperimentConfig().config_hash() == "56a43fedc4a6"
 
     @pytest.mark.parametrize(
         "build",
