@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.special import ndtri
+from numpy.polynomial.hermite import hermgauss
+from numpy.random import Generator, Philox
 
 from .data import Dataset
 from .errors import InvalidDimension, QuadratureFailure
@@ -25,6 +26,46 @@ QUADRATURE_NODES = 200
 # Rows per block of the noise Monte Carlo, so its memory does not grow with
 # the sample count.
 _MC_BLOCK_ROWS = 1 << 16
+
+# Cephes ndtri, the inverse normal CDF behind scipy.special.ndtri: its
+# constants and rational approximations, coefficients highest degree first.
+# Each denominator's leading 1 (cephes p1evl) is written out; 1 * z is exact.
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+# Central branch, |u - 1/2| <= 1/2 - exp(-2): in y^2 with y = u - 1/2.
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+# Tails in z = 1/x, x = sqrt(-2 log y): 2 <= x < 8 ...
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+# ... and x >= 8, that is y <= exp(-32).
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+# Values per block of the inverse CDF, so its scratch stays in cache.
+_NDTRI_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -44,7 +85,7 @@ class HardInstanceSpec:
             raise InvalidDimension("seed must be a non-negative integer")
 
 
-def _uniform_open(rng: np.random.Generator, shape) -> np.ndarray:
+def _uniform_open(rng: Generator, shape) -> np.ndarray:
     # Shift the 53-bit uniform off 0 so the inverse CDF stays finite. The
     # shift rounds the largest draw, 1 - 2**-53, up to 1.0, so clamp back
     # below 1; every other value keeps its bits.
@@ -53,12 +94,105 @@ def _uniform_open(rng: np.random.Generator, shape) -> np.ndarray:
     return np.minimum(u, np.nextafter(1.0, 0.0), out=u)
 
 
-def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normals via the inverse-CDF map (scipy's ndtri rational
-    approximation) applied to counter-based uniforms; bit-reproducible for a
-    fixed generator stream."""
-    u = _uniform_open(rng, shape)
-    return ndtri(u, out=u)
+def _polevl(z: np.ndarray, coef, out: np.ndarray) -> np.ndarray:
+    """Horner's rule in cephes polevl's order: one multiply, then one add,
+    per coefficient after the first."""
+    np.multiply(z, coef[0], out=out)
+    for c in coef[1:-1]:
+        np.add(out, c, out=out)
+        np.multiply(out, z, out=out)
+    return np.add(out, coef[-1], out=out)
+
+
+def _libm_log(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The C library's log of ``a``, as a reversed view of ``out``.
+
+    numpy's AVX-512 log loop is one ulp off the C library's log on about
+    2e-4 of arguments, and it takes only forward strides; given a reversed
+    input, numpy calls the C library's log value by value. The tests compare
+    ``_ndtri`` with scipy.special.ndtri bit for bit, so a numpy that
+    vectorizes reversed inputs too shows there.
+    """
+    np.log(a[::-1], out=out)
+    return out[::-1]
+
+
+def _ndtri_tail(
+    t: np.ndarray, x: np.ndarray, x0: np.ndarray, num: np.ndarray, den: np.ndarray
+) -> np.ndarray:
+    """Cephes ndtri of the values ``t`` below exp(-2) or above
+    1 - exp(-2), into ``x0``; ``t`` and the other buffers are scratch."""
+    flip = t > 0.5
+    np.subtract(1.0, t, out=t, where=flip)
+    np.multiply(_libm_log(t, num), -2.0, out=x)
+    np.sqrt(x, out=x)
+    np.divide(_libm_log(x, num), x, out=x0)
+    np.subtract(x, x0, out=x0)
+    far = x >= 8.0 if x.max() >= 8.0 else None
+    z = np.divide(1.0, x, out=x)
+    _polevl(z, _NDTRI_P1, num)
+    _polevl(z, _NDTRI_Q1, den)
+    if far is not None:
+        zf = z[far]
+        num[far] = _polevl(zf, _NDTRI_P2, np.empty_like(zf))
+        den[far] = _polevl(zf, _NDTRI_Q2, np.empty_like(zf))
+    np.multiply(z, num, out=num)
+    np.divide(num, den, out=num)
+    np.subtract(x0, num, out=x0)
+    np.logical_not(flip, out=flip)
+    return np.negative(x0, out=x0, where=flip)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """scipy.special.ndtri of every u in (0, 1), written over the
+    C-contiguous array ``u``.
+
+    A numpy transcription of cephes ndtri: its coefficients, its Horner
+    order and its branches. For exp(-2) < u <= 1 - exp(-2) it is a rational
+    function in (u - 1/2)^2 times u - 1/2, which carries the sign. Below
+    that, it is a rational tail in x = sqrt(-2 log u), negated, with other
+    coefficients for x >= 8; above, the same tail on 1 - u. Values go
+    through in blocks of _NDTRI_BLOCK with scratch allocated once.
+    """
+    flat = u.reshape(-1)
+    size = min(flat.size, _NDTRI_BLOCK)
+    y, y2, num, den, vals = np.empty((5, size))
+    tail, above = np.empty((2, size), dtype=bool)
+    for start in range(0, flat.size, _NDTRI_BLOCK):
+        block = flat[start : start + _NDTRI_BLOCK]
+        m = block.size
+        np.less_equal(block, _EXP_M2, out=tail[:m])
+        np.greater(block, 1.0 - _EXP_M2, out=above[:m])
+        idx = np.flatnonzero(np.logical_or(tail[:m], above[:m], out=tail[:m]))
+        k = idx.size
+        np.take(block, idx, out=vals[:k])
+        # The central branch on every value; the tail ones are replaced below.
+        yb, y2b, p, q = y[:m], y2[:m], num[:m], den[:m]
+        np.subtract(block, 0.5, out=yb)
+        np.multiply(yb, yb, out=y2b)
+        _polevl(y2b, _NDTRI_P0, p)
+        _polevl(y2b, _NDTRI_Q0, q)
+        np.multiply(y2b, p, out=p)
+        np.divide(p, q, out=p)
+        np.multiply(yb, p, out=p)
+        np.add(yb, p, out=p)
+        np.multiply(p, _SQRT_2PI, out=block)
+        if k:
+            block[idx] = _ndtri_tail(vals[:k], y[:k], y2[:k], num[:k], den[:k])
+    return flat.reshape(u.shape)
+
+
+def standard_normals(rng: Generator, shape) -> np.ndarray:
+    """Standard normals by the inverse normal CDF of counter-based uniforms,
+    bit-reproducible for a fixed generator stream.
+
+    The inverse CDF is a numpy port of cephes ``ndtri``. It is bitwise equal
+    to ``scipy.special.ndtri`` wherever numpy's log of a reversed view is the
+    C library's log (checked with numpy 2.4 and scipy 1.17 on x86-64 Linux
+    with glibc; the tests compare the two on 1.6e7 draws), so the bytes are
+    those the package drew when it called scipy.
+    """
+    return _ndtri(_uniform_open(rng, shape))
 
 
 def generate_hard_instance(spec: HardInstanceSpec) -> Dataset:
@@ -70,7 +204,7 @@ def generate_hard_instance(spec: HardInstanceSpec) -> Dataset:
     place, so only the features and labels are returned; the latents are
     ``standard_normals`` of the stream's first n x k uniforms.
     """
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    rng = Generator(Philox(key=spec.seed))
     features = standard_normals(rng, (spec.n, spec.k))
     prob = sigmoid(features[:, -1])
     # Last column first, so each difference still reads Z_{i-1}.
@@ -150,7 +284,7 @@ def numeric_pass_coefficients(p: int, c: float) -> tuple[float, float]:
 def _hermite_nodes() -> tuple[np.ndarray, np.ndarray]:
     """The QUADRATURE_NODES-point Gauss-Hermite rule, built once; read-only
     because every caller shares it."""
-    t, w = np.polynomial.hermite.hermgauss(QUADRATURE_NODES)
+    t, w = hermgauss(QUADRATURE_NODES)
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w
@@ -252,10 +386,11 @@ def noise_monotonicity_check(
     variances give exactly equal losses; a larger variance gives a strictly
     larger loss in expectation.
 
-    Z takes the first n_mc uniforms of a Philox stream keyed by ``seed`` and
-    xi the next n_mc, both drawn and used in 65536-row blocks through buffers
-    allocated once (c Z and sigmoid(Z) formed once per block), so memory does
-    not grow with n_mc. Block means and sums of squared deviations are merged
+    Z is ``Generator(Philox(key=seed)).standard_normal`` and xi the same on
+    ``Philox(key=seed).jumped()``, an independent stream 2**128 draws on.
+    Both are drawn and used in 65536-row blocks through buffers allocated
+    once (c Z and sigmoid(Z) formed once per block), so memory does not grow
+    with n_mc. Block means and sums of squared deviations are merged
     with Chan, Golub and LeVeque's pairwise rule; the per-sample losses are
     those of a whole-array computation, and only the order of summation
     differs, which moves the means and standard errors in their last bits.
@@ -278,19 +413,15 @@ def noise_monotonicity_check(
     mean = np.zeros(len(variances) + len(pairs))
     m2 = np.zeros_like(mean)
 
-    z_rng = np.random.Generator(np.random.Philox(key=seed))
-    xi_bits = np.random.Philox(key=seed)
-    # advance() counts blocks of four draws; the remainder is drawn off.
-    xi_bits.advance(n_mc // 4)
-    xi_bits.random_raw(n_mc % 4)
-    xi_rng = np.random.Generator(xi_bits)
-    buf = np.empty((5 + len(variances), min(n_mc, _MC_BLOCK_ROWS)))
+    z_rng = Generator(Philox(key=seed))
+    xi_rng = Generator(Philox(key=seed).jumped())
+    buf = np.empty((7 + len(variances), min(n_mc, _MC_BLOCK_ROWS)))
     for start in range(0, n_mc, _MC_BLOCK_ROWS):
         rows = min(_MC_BLOCK_ROWS, n_mc - start)
-        z_lat = standard_normals(z_rng, rows)
-        xi = standard_normals(xi_rng, rows)
-        cz, z, e, sp, work = buf[:5, :rows]
-        losses = buf[5:, :rows]
+        z_lat, xi, cz, z, e, sp, work = buf[:7, :rows]
+        losses = buf[7:, :rows]
+        z_rng.standard_normal(out=z_lat)
+        xi_rng.standard_normal(out=xi)
         np.multiply(z_lat, c, out=cz)
         sig = sigmoid(z_lat)
         for i, v in enumerate(variances):

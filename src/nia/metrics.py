@@ -8,10 +8,11 @@ coverage, yield the residual and convergence bounds computed here.
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .errors import DomainError, InvalidDimension, LengthMismatch
 from .logistic import bce_loss, sigmoid, stable_softplus
@@ -20,6 +21,26 @@ from .logistic import bce_loss, sigmoid, stable_softplus
 def _check_probability(name: str, value: np.ndarray) -> None:
     if np.any(value < 0.0) or np.any(value > 1.0) or not np.all(np.isfinite(value)):
         raise DomainError(f"{name} must lie in [0, 1]")
+
+
+def _rel_entr(x: float, y: float) -> float:
+    """x log(x / y), branch for branch scipy.special.rel_entr's, with the C
+    library's log and log1p through ``math``. The positive case, the only
+    one with work, is tested first; a NaN fails its comparisons."""
+    if x > 0.0 and y > 0.0:
+        ratio = x / y
+        if 0.5 < ratio < 2.0:
+            return x * math.log1p((x - y) / y)
+        if sys.float_info.min < ratio < math.inf:
+            return x * math.log(ratio)
+        return x * (math.log(x) - math.log(y))
+    if math.isnan(x) or math.isnan(y):
+        return math.nan
+    return 0.0 if x == 0.0 and y >= 0.0 else math.inf
+
+
+def _rel_entr_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(_rel_entr, x.tolist(), y.tolist()), dtype=np.float64, count=x.size)
 
 
 def bernoulli_kl_pointwise(p_col, q_col) -> np.ndarray:
@@ -36,7 +57,7 @@ def bernoulli_kl_pointwise(p_col, q_col) -> np.ndarray:
         raise LengthMismatch("empty inputs")
     _check_probability("p_col", p)
     _check_probability("q_col", q)
-    return rel_entr(p, q) + rel_entr(1.0 - p, 1.0 - q)
+    return _rel_entr_columns(p, q) + _rel_entr_columns(1.0 - p, 1.0 - q)
 
 
 def expected_kl_from_logits(z_p, z_q) -> float:

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -540,6 +541,49 @@ class TestVerify:
         configured = suites("configured", FAST_VERIFY | {"seed": 7})
         assert flag == configured
         assert flag != suites("seed1", FAST_VERIFY)
+
+
+class TestNumpyOnly:
+    def test_generate_run_verify_with_scipy_blocked(self, tmp_path):
+        # The runtime needs numpy alone: with every scipy import failing, a
+        # small generate, run and verify all succeed and load no scipy module.
+        configs = {
+            "generate": {"instance": {"kind": "hard", "k": 4, "n": 2000, "seeds": [1]},
+                         "out_dir": "data"},
+            "run": {"instance": {"kind": "file", "dataset": "data/dataset_k4_n2000_seed1.nia"},
+                    "graph": {"cyclic_depth": 8}, "dump_logits": True, "out_dir": "run"},
+            "verify": {"verify": FAST_VERIFY, "out_dir": "verify"},
+        }
+        for cmd, obj in configs.items():
+            _write_config(tmp_path, obj, name=f"{cmd}.json")
+        script = textwrap.dedent(
+            """
+            import sys
+
+            class BlockScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        raise ImportError(f"{name} is blocked")
+                    return None
+
+            sys.meta_path.insert(0, BlockScipy())
+            import nia
+            from nia.cli import main
+
+            commands = ("generate", "run", "verify")
+            codes = [main([cmd, "--config", f"{cmd}.json"]) for cmd in commands]
+            assert codes == [0, 0, 0], codes
+            loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+            assert not loaded, loaded
+            """
+        )
+        src = str(Path(nia.experiments.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "run" / "logits.bin").exists()
+        assert json.loads((tmp_path / "verify" / "verify_report.json").read_text())["all_passed"]
 
 
 class TestEntryPoint:

@@ -1,9 +1,11 @@
 """KL machinery, loss decomposition, bound calculators, stable block."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from scipy.special import rel_entr
 
 from nia import (
     DomainError,
@@ -27,6 +29,7 @@ from nia import (
 )
 from nia.config import parse_config
 from nia.experiments import run_experiment
+from nia.metrics import _rel_entr
 
 
 def _kl(p, q) -> float:
@@ -37,6 +40,38 @@ def _pinsker_gap(p, q) -> np.ndarray:
     # The pointwise quantity the pinsker verify suite bounds below by 0.
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     return bernoulli_kl_pointwise(p, q) - 2.0 * (p - q) ** 2
+
+
+class TestRelEntr:
+    # scipy.special.rel_entr, which the package called before, is the oracle.
+    HALF_IN, HALF_OUT = np.nextafter(0.6, 0.0), np.nextafter(0.6, 1.0)
+
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            (0.0, 0.0), (0.0, 0.4), (0.4, 0.0), (-0.1, 0.4), (0.4, -0.1),
+            (0.5, 0.5), (0.3, 0.8), (0.9, 0.2),
+            # x / y just inside (0.5, 2): log1p; on and just outside: log.
+            (0.3, HALF_IN), (0.3, 0.6), (0.3, HALF_OUT),
+            (HALF_IN, 0.3), (0.6, 0.3), (HALF_OUT, 0.3),
+            # x / y underflows below the smallest normal or overflows: log x - log y.
+            (1e-300, 1e10), (5e-324, 0.5), (1e300, 1e-10), (1.0, 5e-324),
+            (math.nan, 0.5), (0.5, math.nan), (0.0, math.nan),
+        ],
+    )
+    def test_matches_scipy_bitwise(self, x, y):
+        got, want = _rel_entr(x, y), float(rel_entr(x, y))
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert struct.pack("<d", got) == struct.pack("<d", want)
+
+    def test_kl_columns_match_scipy_bitwise(self):
+        rng = np.random.default_rng(8)
+        p, q = rng.random(20_000), rng.random(20_000)
+        p[:100], q[100:200] = 0.0, 1.0
+        want = rel_entr(p, q) + rel_entr(1.0 - p, 1.0 - q)
+        assert np.array_equal(bernoulli_kl_pointwise(p, q).view(np.int64), want.view(np.int64))
 
 
 class TestBernoulliKl:
