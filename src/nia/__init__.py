@@ -37,12 +37,12 @@ from .instances import (
     NoiseComparison,
     PassPredictor,
     generate_hard_instance,
+    link_scale,
     noise_monotonicity_check,
     optimal_pass_coefficients,
     optimal_scaling_factor,
     relevance_set,
     scaling_gradient,
-    sigmoid_moment,
 )
 from .logistic import (
     FitOptions,
@@ -103,6 +103,7 @@ __all__ = [
     "feature_second_moment_bound",
     "fit_logistic",
     "generate_hard_instance",
+    "link_scale",
     "noise_monotonicity_check",
     "optimal_pass_coefficients",
     "optimal_scaling_factor",
@@ -112,7 +113,6 @@ __all__ = [
     "run_protocol",
     "scaling_gradient",
     "sigmoid",
-    "sigmoid_moment",
     "sink_excess_loss",
     "stable_block",
     "stable_softplus",

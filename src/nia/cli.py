@@ -50,7 +50,7 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
 
     config = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
-        # InstanceConfig rejects a negative seed inside replace.
+        # InstanceConfig rejects a seed outside [0, 2**128 - 1] inside replace.
         config = dataclasses.replace(
             config,
             instance=dataclasses.replace(config.instance, seeds=(args.seed,)),

@@ -18,6 +18,7 @@ import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .errors import InvalidConfig
+from .instances import MAX_SEED
 from .logistic import FitOptions
 
 # String keys that name files; relative values resolve against the config's
@@ -40,8 +41,8 @@ class InstanceConfig:
             raise InvalidConfig("instance.seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise InvalidConfig("instance.seeds must be distinct")
-        if any(s < 0 for s in self.seeds):
-            raise InvalidConfig("instance.seeds must be non-negative")
+        if any(not 0 <= s <= MAX_SEED for s in self.seeds):
+            raise InvalidConfig("instance.seeds must lie in [0, 2**128 - 1]")
         if self.kind == "hard":
             if self.k < 2:
                 raise InvalidConfig(f"instance.k must be >= 2, got {self.k}")
@@ -106,6 +107,8 @@ class VerifyConfig:
         for key, low in minimums.items():
             if getattr(self, key) < low:
                 raise InvalidConfig(f"verify.{key} must be >= {low}, got {getattr(self, key)}")
+        if self.seed > MAX_SEED:
+            raise InvalidConfig(f"verify.seed must be <= 2**128 - 1, got {self.seed}")
         if not self.decomposition_grad_tol > 0:
             raise InvalidConfig("verify.decomposition_grad_tol must be > 0")
         if not math.isfinite(self.noise_scale):

@@ -305,12 +305,8 @@ def coefficient_suite(threshold: float = 1e-9) -> dict:
 def scaling_factor_suite(threshold: float = 1e-10) -> dict:
     """Optimal scales lie strictly inside (0, 1), increase with the pass
     index, and zero the quadrature loss derivative."""
-    values = []
-    worst_grad = 0.0
-    for p in C_RANGE_PASSES:
-        c = optimal_scaling_factor(p)
-        values.append(c)
-        worst_grad = max(worst_grad, abs(scaling_gradient(c, p)))
+    values = [optimal_scaling_factor(p) for p in C_RANGE_PASSES]
+    worst_grad = max(abs(scaling_gradient(c, p)) for c, p in zip(values, C_RANGE_PASSES))
     in_range = all(0.0 < c < 1.0 for c in values)
     increasing = all(b > a for a, b in zip(values, values[1:]))
     return _suite(

@@ -4,8 +4,8 @@ The generated distribution chains k standard-normal latents through a
 differencing map (x_1 = Z_1, x_i = Z_i - Z_{i-1}), labels are Bernoulli of
 sigmoid(Z_k), and the optimal logit is the feature prefix sum Z_k. Analytics
 cover the per-pass relevance sets, the variance-minimizing pass-predictor
-coefficients, the optimal logit scaling factor, and the 1/(p+1) excess-loss
-shape these imply.
+coefficients, the n = inf logistic link scale and the optimal logit scaling
+factor it gives, and the 1/(p+1) excess-loss shape these imply.
 """
 
 from __future__ import annotations
@@ -19,9 +19,11 @@ from numpy.random import Generator, Philox
 
 from .data import Dataset
 from .errors import InvalidDimension, QuadratureFailure
-from .logistic import _softplus_exp, sigmoid
+from .logistic import _libm, _softplus_exp, sigmoid
 
 QUADRATURE_NODES = 200
+
+MAX_SEED = 2**128 - 1  # seeds key Philox streams, whose keys are 128-bit
 
 # Rows per block of the noise Monte Carlo, so its memory does not grow with
 # the sample count.
@@ -81,8 +83,8 @@ class HardInstanceSpec:
             raise InvalidDimension(f"latent dimension must be >= 2, got {self.k}")
         if self.n < 1:
             raise InvalidDimension(f"sample count must be >= 1, got {self.n}")
-        if self.seed < 0:
-            raise InvalidDimension("seed must be a non-negative integer")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise InvalidDimension(f"seed must be an integer in [0, 2**128 - 1], got {self.seed}")
 
 
 def _uniform_open(rng: Generator, shape) -> np.ndarray:
@@ -104,19 +106,6 @@ def _polevl(z: np.ndarray, coef, out: np.ndarray) -> np.ndarray:
     return np.add(out, coef[-1], out=out)
 
 
-def _libm_log(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The C library's log of ``a``, as a reversed view of ``out``.
-
-    numpy's AVX-512 log loop is one ulp off the C library's log on about
-    2e-4 of arguments, and it takes only forward strides; given a reversed
-    input, numpy calls the C library's log value by value. The tests compare
-    ``_ndtri`` with scipy.special.ndtri bit for bit, so a numpy that
-    vectorizes reversed inputs too shows there.
-    """
-    np.log(a[::-1], out=out)
-    return out[::-1]
-
-
 def _ndtri_tail(
     t: np.ndarray, x: np.ndarray, x0: np.ndarray, num: np.ndarray, den: np.ndarray
 ) -> np.ndarray:
@@ -124,9 +113,9 @@ def _ndtri_tail(
     1 - exp(-2), into ``x0``; ``t`` and the other buffers are scratch."""
     flip = t > 0.5
     np.subtract(1.0, t, out=t, where=flip)
-    np.multiply(_libm_log(t, num), -2.0, out=x)
+    np.multiply(_libm(np.log, t, num), -2.0, out=x)
     np.sqrt(x, out=x)
-    np.divide(_libm_log(x, num), x, out=x0)
+    np.divide(_libm(np.log, x, num), x, out=x0)
     np.subtract(x, x0, out=x0)
     far = x >= 8.0 if x.max() >= 8.0 else None
     z = np.divide(1.0, x, out=x)
@@ -240,8 +229,6 @@ class PassPredictor:
     ``residual_variance`` is Var(z - c Z_k).
     """
 
-    p: int
-    c: float
     coefficients: np.ndarray
     residual_variance: float
 
@@ -260,7 +247,7 @@ def optimal_pass_coefficients(p: int, c: float) -> PassPredictor:
         raise InvalidDimension("scale c must be finite")
     j = np.arange(p, dtype=np.float64)
     coeffs = c * (1.0 - j / p)
-    return PassPredictor(p=p, c=float(c), coefficients=coeffs, residual_variance=c * c / p)
+    return PassPredictor(coefficients=coeffs, residual_variance=c * c / p)
 
 
 def numeric_pass_coefficients(p: int, c: float) -> tuple[float, float]:
@@ -296,63 +283,70 @@ def gauss_hermite_expectation(f, sd: float = 1.0) -> float:
     return float(np.sum(w * f(np.sqrt(2.0) * sd * t)) / np.sqrt(np.pi))
 
 
-def sigmoid_moment(u: float) -> float:
-    """h(u) = E[X sigmoid(X)] for X ~ N(0, u^2); strictly increasing in u."""
-    return gauss_hermite_expectation(lambda x: x * sigmoid(x), sd=u)
-
-
 def scaling_gradient(c: float, p: int) -> float:
     """Derivative in c of the loss of z = c(Z + xi/sqrt(p)) with unit-variance
     xi: -E[Z sigmoid(Z)] + E[S sigmoid(c S)] where S ~ N(0, 1 + 1/p)."""
     if p < 1:
         raise InvalidDimension(f"pass index must be >= 1, got {p}")
-    s_sd = float(np.sqrt(1.0 + 1.0 / p))
-    second = gauss_hermite_expectation(lambda x: x * sigmoid(c * x), sd=s_sd)
-    return -sigmoid_moment(1.0) + second
+    second = gauss_hermite_expectation(lambda x: x * sigmoid(c * x), sd=np.sqrt(1.0 + 1.0 / p))
+    return -gauss_hermite_expectation(lambda x: x * sigmoid(x)) + second
 
 
-def optimal_scaling_factor(p: int) -> float:
-    """Loss-minimizing scale c for the pass-p predictor form: the root of the
-    loss derivative ``scaling_gradient`` on (0, 1).
+def link_scale(r: float) -> float:
+    """Scale s of the n = inf logistic fit whose best reachable direction has
+    projection norm r: the root in [0, 1] of the link (the loss derivative in
+    s) E[G sigmoid(s G)] - r E[G sigmoid(G)], G ~ N(0, 1), on the Gauss-Hermite
+    rule; 0.0 at r = 0 and 1.0 for r >= 1 (a norm that rounds to 1 or above).
 
-    The root is found by the Illinois variant of regula falsi (Dowell and
-    Jarratt, BIT 1971) on the bracket [0, 1]: each step takes the secant
-    point of the bracket ends and keeps the sub-bracket whose ends differ in
-    sign; when the same end is kept twice running, its stored derivative is
-    halved, so both ends close in and convergence is superlinear. The search
-    stops at an exact zero of the derivative or once the bracket is at most
-    1e-12 wide, and returns the last secant point (about ten derivative
-    evaluations per root, the two bracket ends included).
+    Illinois regula falsi (Dowell and Jarratt, BIT 1971) on [0, 1] keeps the
+    sub-bracket that changes sign around each secant point and halves the link
+    value stored at an end kept twice running. It returns the last secant point
+    at an exact zero or a bracket at most 1e-12 wide, after about ten link
+    evaluations, ends included; a bracket without a sign change raises
+    QuadratureFailure instead of being patched."""
+    if not (np.isfinite(r) and r >= 0.0):
+        raise InvalidDimension(f"projection norm must be finite and >= 0, got {r}")
+    if r == 0.0 or r >= 1.0:
+        return min(float(r), 1.0)
+    moment = gauss_hermite_expectation(lambda g: g * sigmoid(g))
 
-    The derivative must be negative at 0 and positive at 1; a bracket that
-    fails to change sign raises QuadratureFailure instead of being patched,
-    since it would falsify the scaling analysis.
-    """
-    lo, hi = 0.0, 1.0
-    g_lo = scaling_gradient(lo, p)
-    g_hi = scaling_gradient(hi, p)
+    def link(s: float) -> float:
+        return gauss_hermite_expectation(lambda g: g * sigmoid(s * g)) - r * moment
+
+    # At 1 the link is moment (1 - r), which stays positive as r nears 1.
+    lo, hi, g_lo, g_hi = 0.0, 1.0, link(0.0), moment * (1.0 - r)
     if not (g_lo < 0.0 < g_hi):
         raise QuadratureFailure(
-            f"loss derivative does not bracket a root on [0, 1]: g(0)={g_lo:.3e}, g(1)={g_hi:.3e}"
+            f"link does not bracket a root on [0, 1]: g(0)={g_lo:.3e}, g(1)={g_hi:.3e}"
         )
     kept = 0  # -1: the last step moved lo (kept hi), +1: it moved hi
     while True:
-        c = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        g = scaling_gradient(c, p)
+        s = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        g = link(s)
         if g == 0.0:
-            return c
+            return s
         if g < 0.0:
-            lo, g_lo = c, g
+            lo, g_lo = s, g
             if kept == -1:
                 g_hi *= 0.5
             kept = -1
         else:
-            hi, g_hi = c, g
+            hi, g_hi = s, g
             if kept == 1:
                 g_lo *= 0.5
             kept = 1
         if hi - lo <= 1e-12:
-            return c
+            return s
+
+
+def optimal_scaling_factor(p: int) -> float:
+    """Loss-minimizing scale c for the pass-p predictor form, the root of
+    ``scaling_gradient`` on (0, 1): r link_scale(r) with r = sqrt(p / (p + 1)),
+    since Z + xi/sqrt(p) has standard deviation 1/r."""
+    if p < 1:
+        raise InvalidDimension(f"pass index must be >= 1, got {p}")
+    r = float(np.sqrt(p / (p + 1.0)))
+    return r * link_scale(r)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,14 @@ _MIN_STEP = 1e-12
 _BLOCK_ROWS = 1 << 14
 
 
+def _libm(ufunc: np.ufunc, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.log or np.log1p of ``a`` by the C library, as a reversed view of
+    ``out`` (new if None): numpy's AVX-512 loops, an ulp off on some arguments,
+    take only forward strides and leave a reversed input to the C library. The
+    scipy bitwise tests of ``_ndtri`` and ``_rel_entr`` catch a numpy that doesn't."""
+    return ufunc(a[::-1], out=out)[::-1]
+
+
 def _softplus_exp(z: np.ndarray, e: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Write e = exp(-|z|) into ``e`` and softplus(z) = max(z, 0) + log1p(e)
     into ``out``, with one exponential and scratch ``work``; returns ``out``.

@@ -8,14 +8,12 @@ coverage, yield the residual and convergence bounds computed here.
 
 from __future__ import annotations
 
-import math
-import sys
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, InvalidDimension, LengthMismatch
-from .logistic import bce_loss, sigmoid, stable_softplus
+from .logistic import _libm, bce_loss, sigmoid, stable_softplus
 
 
 def _check_probability(name: str, value: np.ndarray) -> None:
@@ -23,24 +21,25 @@ def _check_probability(name: str, value: np.ndarray) -> None:
         raise DomainError(f"{name} must lie in [0, 1]")
 
 
-def _rel_entr(x: float, y: float) -> float:
-    """x log(x / y), branch for branch scipy.special.rel_entr's, with the C
-    library's log and log1p through ``math``. The positive case, the only
-    one with work, is tested first; a NaN fails its comparisons."""
-    if x > 0.0 and y > 0.0:
-        ratio = x / y
-        if 0.5 < ratio < 2.0:
-            return x * math.log1p((x - y) / y)
-        if sys.float_info.min < ratio < math.inf:
-            return x * math.log(ratio)
-        return x * (math.log(x) - math.log(y))
-    if math.isnan(x) or math.isnan(y):
-        return math.nan
-    return 0.0 if x == 0.0 and y >= 0.0 else math.inf
-
-
-def _rel_entr_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(_rel_entr, x.tolist(), y.tolist()), dtype=np.float64, count=x.size)
+def _rel_entr(x, y) -> np.ndarray:
+    """x log(x / y) elementwise, branch for branch scipy.special.rel_entr's,
+    with the C library's log and log1p (``_libm``)."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    out = np.where((x == 0.0) & (y >= 0.0), 0.0, np.inf)
+    out[np.isnan(x) | np.isnan(y)] = np.nan
+    pos = (x > 0.0) & (y > 0.0)
+    xp, yp = x[pos], y[pos]
+    with np.errstate(over="ignore"):  # an overflowing ratio takes log x - log y
+        ratio = xp / yp
+    near = (ratio > 0.5) & (ratio < 2.0)
+    normal = ~near & (ratio > np.finfo(np.float64).tiny) & (ratio < np.inf)
+    far = ~(near | normal)
+    logs = np.empty_like(ratio)
+    logs[near] = _libm(np.log1p, (xp[near] - yp[near]) / yp[near])
+    logs[normal] = _libm(np.log, ratio[normal])
+    logs[far] = _libm(np.log, xp[far]) - _libm(np.log, yp[far])
+    out[pos] = xp * logs
+    return out
 
 
 def bernoulli_kl_pointwise(p_col, q_col) -> np.ndarray:
@@ -57,7 +56,7 @@ def bernoulli_kl_pointwise(p_col, q_col) -> np.ndarray:
         raise LengthMismatch("empty inputs")
     _check_probability("p_col", p)
     _check_probability("q_col", q)
-    return _rel_entr_columns(p, q) + _rel_entr_columns(1.0 - p, 1.0 - q)
+    return _rel_entr(p, q) + _rel_entr(1.0 - p, 1.0 - q)
 
 
 def expected_kl_from_logits(z_p, z_q) -> float:

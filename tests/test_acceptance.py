@@ -20,7 +20,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from nia import (
     FitOptions,
@@ -29,11 +28,11 @@ from nia import (
     cyclic_path_assignment,
     fit_logistic,
     generate_hard_instance,
+    link_scale,
     optimal_scaling_factor,
     relevance_set,
     residual_moments,
     run_protocol,
-    sigmoid,
 )
 from nia.config import ExperimentConfig
 from nia.experiments import (
@@ -42,7 +41,7 @@ from nia.experiments import (
     scaling_factor_suite,
     verify_experiment,
 )
-from nia.instances import gauss_hermite_expectation, standard_normals
+from nia.instances import standard_normals
 
 K = 4
 N_SCALING = 200_000
@@ -115,32 +114,18 @@ def _population_cyclic_path(k: int, depth: int) -> list[np.ndarray]:
     Each agent minimises it over the span of its feature row of B and its
     parent's u. At a fixed norm |u| = s the loss is lowest where u_k is
     largest, so the minimiser points along the projection P e_k of e_k onto
-    that span, and s solves E[G sigmoid(s G)] = |P e_k| E[Z sigmoid(Z)], whose
-    root lies in [0, 1]. An agent whose span is orthogonal to e_k publishes
-    the zero column, which adds nothing to its child's span.
+    that span, and s = link_scale(|P e_k|). An agent whose span is orthogonal
+    to e_k publishes the zero column, which adds nothing to its child's span.
     """
     rows = np.eye(k) - np.eye(k, k=-1)
     e_k = np.eye(k)[-1]
-    m = gauss_hermite_expectation(lambda g: g * sigmoid(g))
     u = np.zeros(k)
     published = []
     for i in range(depth):
         span = np.column_stack([rows[i % k], u])
         proj = span @ np.linalg.lstsq(span, e_k, rcond=None)[0]
         r = float(np.linalg.norm(proj))
-        if r >= 1.0:
-            # At r = 1 the root is s = 1 exactly; r can round above 1, where
-            # [0, 1] would bracket no sign change.
-            u = proj / r
-        elif r > 1e-12:
-            s = brentq(
-                lambda s: gauss_hermite_expectation(lambda g: g * sigmoid(s * g)) - m * r,
-                0.0,
-                1.0,
-            )
-            u = s * proj / r
-        else:
-            u = np.zeros(k)
+        u = link_scale(r) * proj / r if r > 1e-12 else np.zeros(k)
         published.append(u)
     return published
 

@@ -87,6 +87,12 @@ class TestGenerate:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_seed_above_128_bits_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--seed", str(2**128)]) == 2
+        assert "error: instance.seeds must lie in [0, 2**128 - 1]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_out_flag_overrides_config_out_dir(self, tmp_path):
         cfg = _write_config(
             tmp_path,
@@ -541,6 +547,15 @@ class TestVerify:
         configured = suites("configured", FAST_VERIFY | {"seed": 7})
         assert flag == configured
         assert flag != suites("seed1", FAST_VERIFY)
+
+    def test_seed_above_128_bits_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--seed", str(2**128)]) == 2
+        assert "error: instance.seeds must lie in" in capsys.readouterr().err
+        cfg = _write_config(tmp_path, {"verify": FAST_VERIFY | {"seed": 2**128}})
+        assert main(["verify", "--config", cfg]) == 2
+        assert "error: verify.seed must be <= 2**128 - 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestNumpyOnly:

@@ -16,16 +16,17 @@ from nia import (
     InvalidDimension,
     QuadratureFailure,
     generate_hard_instance,
+    link_scale,
     noise_monotonicity_check,
     optimal_pass_coefficients,
     optimal_scaling_factor,
     relevance_set,
     scaling_gradient,
     sigmoid,
-    sigmoid_moment,
 )
 from nia.experiments import NOISE_VARIANCE_PAIRS
 from nia.instances import (
+    MAX_SEED,
     QUADRATURE_NODES,
     _hermite_nodes,
     _ndtri,
@@ -77,6 +78,13 @@ class TestGenerator:
     def test_k_below_two_rejected(self):
         with pytest.raises(InvalidDimension):
             HardInstanceSpec(k=1, n=10, seed=0)
+
+    def test_seed_range_is_the_philox_key_range(self):
+        assert MAX_SEED == 2**128 - 1
+        assert generate_hard_instance(HardInstanceSpec(k=2, n=5, seed=MAX_SEED)).n == 5
+        for seed in (-1, MAX_SEED + 1):
+            with pytest.raises(InvalidDimension, match="seed"):
+                HardInstanceSpec(k=2, n=5, seed=seed)
 
     def test_feature_variances(self):
         # Var(x_1) = 1 and Var(Z_i - Z_{i-1}) = 2, Monte Carlo at n = 1e6.
@@ -253,8 +261,10 @@ class TestOptimalScalingFactor:
             c = optimal_scaling_factor(p)
             assert abs(scaling_gradient(c, p)) <= 1e-10
 
+    # link_scale evaluates the link, the loss derivative in its scale, as one
+    # gauss_hermite_expectation call over a sigmoid; the tests below patch those.
     def test_bracket_without_sign_change_raises(self, monkeypatch):
-        monkeypatch.setattr(nia.instances, "scaling_gradient", lambda c, p: 1.0 + c)
+        monkeypatch.setattr(nia.instances, "gauss_hermite_expectation", lambda f, sd=1.0: 1.0)
         with pytest.raises(QuadratureFailure, match="bracket"):
             optimal_scaling_factor(2)
 
@@ -262,11 +272,11 @@ class TestOptimalScalingFactor:
     def test_root_takes_few_gradient_evaluations(self, monkeypatch, p):
         calls = []
 
-        def counted(c, p):
-            calls.append(c)
-            return scaling_gradient(c, p)
+        def counted(f, sd=1.0):
+            calls.append(sd)
+            return gauss_hermite_expectation(f, sd)
 
-        monkeypatch.setattr(nia.instances, "scaling_gradient", counted)
+        monkeypatch.setattr(nia.instances, "gauss_hermite_expectation", counted)
         optimal_scaling_factor(p)
         assert len(calls) <= 15
 
@@ -278,18 +288,18 @@ class TestOptimalScalingFactor:
         assert abs(optimal_scaling_factor(p) - reference) <= 1e-12
 
     def test_linear_gradient_root(self, monkeypatch):
-        monkeypatch.setattr(nia.instances, "scaling_gradient", lambda c, p: c - 0.25)
-        assert abs(optimal_scaling_factor(2) - 0.25) <= 1e-15
+        # With an identity sigmoid the link root is r, so c = r^2 = p / (p + 1).
+        monkeypatch.setattr(nia.instances, "sigmoid", lambda x: x)
+        assert abs(optimal_scaling_factor(2) - 2 / 3) <= 1e-15
 
-    def test_sigmoid_moment_increasing(self):
-        grid = [0.5, 1.0, 1.5, 2.0, 3.0]
-        values = [sigmoid_moment(u) for u in grid]
-        assert all(b > a for a, b in zip(values, values[1:]))
+    def test_is_link_scale_at_the_pass_norm(self):
+        for p in (1, 2, 4, 8, 16, 64):
+            r = math.sqrt(p / (p + 1))
+            assert optimal_scaling_factor(p) == r * link_scale(r)
 
-    def test_sigmoid_moment_against_adaptive_quadrature(self):
-        for u in (0.5, 1.0, 2.0):
-            oracle = _quad_expectation(lambda x: x * sigmoid(x), u)
-            assert sigmoid_moment(u) == pytest.approx(oracle, rel=1e-10)
+    def test_pass_index_below_one_rejected(self):
+        with pytest.raises(InvalidDimension):
+            optimal_scaling_factor(0)
 
     def test_cached_nodes_match_fresh_sum_and_are_read_only(self):
         def f(x):
@@ -304,6 +314,45 @@ class TestOptimalScalingFactor:
         with pytest.raises(ValueError):
             cached_w[0] = 0.0
 
+
+class TestLinkScale:
+    # c*(p) for p = 1, 2, 4, 8, 16, 64, as optimal_scaling_factor returned
+    # them while it ran its own root loop on scaling_gradient.
+    PREVIOUS_C = (
+        0.45200130664867033, 0.6223693386292077, 0.7670829768725346,
+        0.8681205950684607, 0.9293802383173877, 0.9813516664439245,
+    )
+
+    def test_matches_previous_scaling_factors(self):
+        for p, c in zip((1, 2, 4, 8, 16, 64), self.PREVIOUS_C):
+            r = math.sqrt(p / (p + 1))
+            assert abs(r * link_scale(r) - c) <= 2e-15
+
+    def test_root_confirmed_by_adaptive_quadrature(self):
+        moment = _quad_expectation(lambda x: x * sigmoid(x), 1.0)
+        for r in (0.3, 0.7):
+            s = link_scale(r)
+            assert abs(_quad_expectation(lambda x: x * sigmoid(s * x), 1.0) - r * moment) <= 1e-9
+
+    def test_increasing_in_r(self):
+        values = [link_scale(r) for r in (0.0, 0.05, 0.2, 0.4, 0.6, 0.8, 0.95, 0.999, 1.0)]
+        assert all(b > a for a, b in zip(values, values[1:]))
+
+    def test_edge_values(self):
+        assert link_scale(0.0) == 0.0
+        for r in (1.0, np.nextafter(1.0, 2.0), 1.5):
+            assert link_scale(r) == 1.0
+
+    @pytest.mark.parametrize("r", [-1e-300, -0.5, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_rejected(self, r):
+        with pytest.raises(InvalidDimension):
+            link_scale(r)
+
+    @pytest.mark.parametrize("r", [1 - 2.0 ** -53, 1 - 2.0 ** -52])
+    def test_norm_just_below_one_brackets(self, r):
+        # moment - r * moment would round to 0 here; the bracket end at 1
+        # stays positive and the root lies within one ulp of 1.
+        assert 1.0 - 1e-15 <= link_scale(r) < 1.0
 
 def _full_array_noise_check(c, v_small, v_large, n_mc, seed):
     """Reference: the whole-array algorithm, (Z, xi) drawn as two full

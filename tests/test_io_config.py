@@ -321,6 +321,15 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             parse_config({"instance": {"seeds": [-1]}})
 
+    def test_seed_above_128_bits_rejected(self):
+        top = 2**128 - 1
+        cfg = parse_config({"instance": {"seeds": [top]}, "verify": {"seed": top}})
+        assert cfg.instance.seeds == (top,) and cfg.verify.seed == top
+        with pytest.raises(InvalidConfig, match="instance.seeds"):
+            parse_config({"instance": {"seeds": [1, top + 1]}})
+        with pytest.raises(InvalidConfig, match="verify.seed"):
+            parse_config({"verify": {"seed": top + 1}})
+
     @pytest.mark.parametrize(
         "obj, key",
         [
