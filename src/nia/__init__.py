@@ -23,7 +23,6 @@ from .errors import (
     NonFinite,
     NotAPath,
     NotConvergedWarning,
-    QuadratureFailure,
 )
 from .graph import (
     AgentGraph,
@@ -90,7 +89,6 @@ __all__ = [
     "NotConvergedWarning",
     "PassPredictor",
     "ProtocolTrace",
-    "QuadratureFailure",
     "StableBlock",
     "agent_design",
     "bce_loss",

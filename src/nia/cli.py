@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--seed", type=int, help="replace instance.seeds with [N] and set verify.seed to N"
         )
         if name == "scan":
-            cmd.add_argument("--threads", type=int, help="parallel replicates (overrides config)")
+            cmd.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
     return parser
 
 
@@ -117,9 +117,9 @@ def cmd_run(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_scan(config: ExperimentConfig, threads: int | None) -> int:
-    # --threads stays out of the config so that it does not change config_hash.
-    if threads is not None and threads < 1:
+def cmd_scan(config: ExperimentConfig, threads: int) -> int:
+    # --threads is not a config value, so it does not change config_hash.
+    if threads < 1:
         raise InvalidConfig(f"--threads must be >= 1, got {threads}")
     rows = scan_experiment(config, threads=threads)
     path = os.path.join(config.out_dir, "scan.csv")

@@ -126,15 +126,13 @@ class ExperimentConfig:
     scan: ScanConfig | None = None
     verify: VerifyConfig = field(default_factory=VerifyConfig)
     out_dir: str = "out"
-    threads: int = 1
     dump_logits: bool = False
 
-    def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise InvalidConfig("threads must be >= 1")
-
     def config_hash(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        """Hash of every setting but ``out_dir``, which only says where output goes."""
+        settings = asdict(self)
+        del settings["out_dir"]
+        payload = json.dumps(settings, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 

@@ -45,10 +45,6 @@ class DomainError(NiaError):
     """A probability argument lies outside [0, 1]."""
 
 
-class QuadratureFailure(NiaError):
-    """A quadrature-based root bracket failed to change sign."""
-
-
 class InvalidConfig(NiaError):
     """An experiment configuration is malformed."""
 

@@ -39,6 +39,15 @@ COEFFICIENT_PASSES = (2, 3, 4, 5, 6)
 COEFFICIENT_SCALES = (0.3, 0.7, 1.0)
 NOISE_VARIANCE_PAIRS = ((0.0, 0.5), (0.5, 1.0), (1.0, 2.0))
 
+# Pass thresholds of the verification suites.
+MOMENT_LIMIT = 1e-9  # largest residual moment of a converged agent
+LOSS_RISE_LIMIT = 1e-9  # largest loss increase along the path
+DECOMPOSITION_LIMIT = 1e-8  # largest decomposition-identity residual
+PINSKER_FLOOR = -1e-12  # smallest KL - 2 (p - q)^2 gap
+COEFFICIENT_LIMIT = 1e-9  # largest closed-form deviation
+SCALING_GRADIENT_LIMIT = 1e-10  # largest |loss derivative| at an optimal scale
+NOISE_MIN_MARGIN_SE = 3.0  # smallest loss increase, in standard errors
+
 
 def global_logistic_fit(dataset: Dataset, opts: FitOptions) -> FitResult:
     """Fit on all d feature columns; the comparator for excess losses."""
@@ -49,7 +58,8 @@ def run_experiment(
     config: ExperimentConfig, publish: Callable[[int, np.ndarray], object] | None = None
 ) -> tuple[ProtocolTrace, dict]:
     """One protocol run plus the global fit, bound values, and diagnostics;
-    returns (trace, report).
+    returns (trace, report). A generated instance uses ``instance.seeds[0]``
+    only, the report's ``seed``; the other seeds are for generate and scan.
 
     The protocol run streams, so the trace keeps no column; ``publish`` is
     handed to ``run_protocol`` and sees each column as it is published.
@@ -190,20 +200,19 @@ def _scan_seed_rows(
         ]
 
 
-def scan_experiment(config: ExperimentConfig, threads: int | None = None) -> list[dict]:
+def scan_experiment(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     """Depth/pass scan: one row per (grid point, seed), ordered by
-    (depth, window, seed). Seeds run in parallel when threads (default
-    ``config.threads``) > 1."""
+    (depth, window, seed). Seeds run in ``threads`` worker processes when
+    ``threads`` > 1."""
     if config.instance.kind != "hard":
         raise InvalidConfig("scan currently supports the generated instance only")
     grid = _scan_grid(config)
     k, n = config.instance.k, config.instance.n
     chash = config.config_hash()
-    workers = threads if threads is not None else config.threads
     seeds = config.instance.seeds
 
-    if workers > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if threads > 1 and len(seeds) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
             per_seed = list(
                 pool.map(
                     _scan_seed_rows,
@@ -232,7 +241,7 @@ def _suite(passed: bool, margin: float, threshold: float, **details) -> dict:
     }
 
 
-def orthogonality_suite(trace: ProtocolTrace, threshold: float = 1e-9) -> dict:
+def orthogonality_suite(trace: ProtocolTrace) -> dict:
     """Residual moments of every converged agent's own design at its fitted
     logits, which are each fit's gradient; all must vanish to within the
     threshold."""
@@ -240,24 +249,24 @@ def orthogonality_suite(trace: ProtocolTrace, threshold: float = 1e-9) -> dict:
     worst = max((f.grad_norm for f in fits if f.converged), default=0.0)
     unconverged = sum(not f.converged for f in fits)
     return _suite(
-        worst <= threshold and unconverged == 0,
-        threshold - worst,
-        threshold,
+        worst <= MOMENT_LIMIT and unconverged == 0,
+        MOMENT_LIMIT - worst,
+        MOMENT_LIMIT,
         max_moment=worst,
         unconverged_agents=unconverged,
     )
 
 
-def monotone_loss_suite(trace: ProtocolTrace, threshold: float = 1e-9) -> dict:
+def monotone_loss_suite(trace: ProtocolTrace) -> dict:
     """Consecutive losses along the path may rise only by solver slack,
     because forwarding the parent logit unchanged is always feasible."""
     losses = trace.loss_path()
     increases = np.diff(losses)
     worst = float(np.max(increases)) if increases.size else 0.0
-    return _suite(worst <= threshold, threshold - worst, threshold, max_increase=worst)
+    return _suite(worst <= LOSS_RISE_LIMIT, LOSS_RISE_LIMIT - worst, LOSS_RISE_LIMIT, max_increase=worst)
 
 
-def decomposition_suite(dataset: Dataset, config: ExperimentConfig, threshold: float = 1e-8) -> dict:
+def decomposition_suite(dataset: Dataset, config: ExperimentConfig) -> dict:
     """Loss-decomposition identity around the global fit on ``dataset`` for
     perturbed comparators; the residual scales with the achieved gradient norm."""
     vc = config.verify
@@ -269,16 +278,16 @@ def decomposition_suite(dataset: Dataset, config: ExperimentConfig, threshold: f
     )
     worst = verify_decomposition(dataset.labels, dataset.features @ gfit.weights, comparators)
     return _suite(
-        worst <= threshold and gfit.converged,
-        threshold - worst,
-        threshold,
+        worst <= DECOMPOSITION_LIMIT and gfit.converged,
+        DECOMPOSITION_LIMIT - worst,
+        DECOMPOSITION_LIMIT,
         max_residual=worst,
         global_grad_norm=gfit.grad_norm,
         global_converged=gfit.converged,
     )
 
 
-def pinsker_suite(trials: int, seed: int, threshold: float = -1e-12) -> dict:
+def pinsker_suite(trials: int, seed: int) -> dict:
     """Expected KL dominates twice the mean squared probability gap; checked
     pointwise on random probability pairs from the open unit interval."""
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -286,10 +295,10 @@ def pinsker_suite(trials: int, seed: int, threshold: float = -1e-12) -> dict:
     q = rng.random(trials) + 2.0 ** -54
     gaps = bernoulli_kl_pointwise(p, q) - 2.0 * (p - q) ** 2
     worst = float(np.min(gaps))
-    return _suite(worst >= threshold, worst - threshold, threshold, min_gap=worst)
+    return _suite(worst >= PINSKER_FLOOR, worst - PINSKER_FLOOR, PINSKER_FLOOR, min_gap=worst)
 
 
-def coefficient_suite(threshold: float = 1e-9) -> dict:
+def coefficient_suite() -> dict:
     """Numeric minimization of the pass-predictor residual variance must
     match the closed form (coefficient-difference sum and minimal value)."""
     worst = 0.0
@@ -299,10 +308,12 @@ def coefficient_suite(threshold: float = 1e-9) -> dict:
             s_closed = -c * (p - 1) / p
             s_num, var_num = numeric_pass_coefficients(p, c)
             worst = max(worst, abs(s_num - s_closed), abs(var_num - closed.residual_variance))
-    return _suite(worst <= threshold, threshold - worst, threshold, max_deviation=worst)
+    return _suite(
+        worst <= COEFFICIENT_LIMIT, COEFFICIENT_LIMIT - worst, COEFFICIENT_LIMIT, max_deviation=worst
+    )
 
 
-def scaling_factor_suite(threshold: float = 1e-10) -> dict:
+def scaling_factor_suite() -> dict:
     """Optimal scales lie strictly inside (0, 1), increase with the pass
     index, and zero the quadrature loss derivative."""
     values = [optimal_scaling_factor(p) for p in C_RANGE_PASSES]
@@ -310,9 +321,9 @@ def scaling_factor_suite(threshold: float = 1e-10) -> dict:
     in_range = all(0.0 < c < 1.0 for c in values)
     increasing = all(b > a for a, b in zip(values, values[1:]))
     return _suite(
-        in_range and increasing and worst_grad <= threshold,
-        threshold - worst_grad,
-        threshold,
+        in_range and increasing and worst_grad <= SCALING_GRADIENT_LIMIT,
+        SCALING_GRADIENT_LIMIT - worst_grad,
+        SCALING_GRADIENT_LIMIT,
         c_values=values,
         in_range=in_range,
         increasing=increasing,
@@ -320,9 +331,7 @@ def scaling_factor_suite(threshold: float = 1e-10) -> dict:
     )
 
 
-def noise_monotonicity_suite(
-    c: float, n_mc: int, seed: int, min_margin_se: float = 3.0
-) -> dict:
+def noise_monotonicity_suite(c: float, n_mc: int, seed: int) -> dict:
     """Loss strictly increases with the logit noise variance, with the
     paired Monte Carlo margin measured in standard errors.
 
@@ -340,7 +349,9 @@ def noise_monotonicity_suite(
         for (v_small, v_large), cmp in zip(NOISE_VARIANCE_PAIRS, comparisons)
     ]
     worst = min(cmp.margin_se for cmp in comparisons)
-    return _suite(worst > min_margin_se, worst - min_margin_se, min_margin_se, pairs=pairs)
+    return _suite(
+        worst > NOISE_MIN_MARGIN_SE, worst - NOISE_MIN_MARGIN_SE, NOISE_MIN_MARGIN_SE, pairs=pairs
+    )
 
 
 def verify_experiment(config: ExperimentConfig) -> dict:

@@ -31,13 +31,6 @@ class AgentGraph:
     def parents_of(self, agent_id: int) -> tuple[int, ...]:
         return self.parents[agent_id - 1]
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Edge list (parent, child) ordered by child id, then parent order."""
-        out: list[tuple[int, int]] = []
-        for child in range(1, self.num_agents + 1):
-            out.extend((p, child) for p in self.parents_of(child))
-        return out
-
     def sinks(self) -> tuple[int, ...]:
         """Agents with no outgoing edges, in ascending id order."""
         has_child = set()

@@ -18,7 +18,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.random import Generator, Philox
 
 from .data import Dataset
-from .errors import InvalidDimension, QuadratureFailure
+from .errors import InvalidDimension
 from .logistic import _libm, _softplus_exp, sigmoid
 
 QUADRATURE_NODES = 200
@@ -292,51 +292,41 @@ def scaling_gradient(c: float, p: int) -> float:
     return -gauss_hermite_expectation(lambda x: x * sigmoid(x)) + second
 
 
+def _centered_sigmoid(x):
+    """sigmoid(x) - 1/2 as tanh(x/2)/2, which does not cancel at small x."""
+    return 0.5 * np.tanh(0.5 * x)
+
+
+def _sigmoid_slope(x):
+    """sigmoid'(x) = sigmoid(x) sigmoid(-x)."""
+    return sigmoid(x) * sigmoid(-x)
+
+
 def link_scale(r: float) -> float:
     """Scale s of the n = inf logistic fit whose best reachable direction has
     projection norm r: the root in [0, 1] of the link (the loss derivative in
     s) E[G sigmoid(s G)] - r E[G sigmoid(G)], G ~ N(0, 1), on the Gauss-Hermite
     rule; 0.0 at r = 0 and 1.0 for r >= 1 (a norm that rounds to 1 or above).
 
-    Illinois regula falsi (Dowell and Jarratt, BIT 1971) on [0, 1] keeps the
-    sub-bracket that changes sign around each secant point and halves the link
-    value stored at an end kept twice running. It returns the last secant point
-    at an exact zero or a bracket at most 1e-12 wide, after about ten link
-    evaluations, ends included; a bracket without a sign change raises
-    QuadratureFailure instead of being patched."""
+    Newton's method from s = 4 E[G sigmoid(G)] r, the root's small-r limit.
+    Each node's term G (sigmoid(s G) - 1/2) is increasing and concave in
+    s >= 0, so the link lies below its tangent at 0: the start is at or below
+    the root and the iterates rise to it. The link is summed over
+    G (c(s G) - r c(G)) with c = ``_centered_sigmoid``, so it keeps its
+    relative accuracy at small s. A rise of one ulp or less is rounding and
+    ends the loop, within five iterations on a dense grid of r in [1e-300, 1)."""
     if not (np.isfinite(r) and r >= 0.0):
         raise InvalidDimension(f"projection norm must be finite and >= 0, got {r}")
     if r == 0.0 or r >= 1.0:
         return min(float(r), 1.0)
-    moment = gauss_hermite_expectation(lambda g: g * sigmoid(g))
-
-    def link(s: float) -> float:
-        return gauss_hermite_expectation(lambda g: g * sigmoid(s * g)) - r * moment
-
-    # At 1 the link is moment (1 - r), which stays positive as r nears 1.
-    lo, hi, g_lo, g_hi = 0.0, 1.0, link(0.0), moment * (1.0 - r)
-    if not (g_lo < 0.0 < g_hi):
-        raise QuadratureFailure(
-            f"link does not bracket a root on [0, 1]: g(0)={g_lo:.3e}, g(1)={g_hi:.3e}"
-        )
-    kept = 0  # -1: the last step moved lo (kept hi), +1: it moved hi
+    s = 4.0 * r * gauss_hermite_expectation(lambda g: g * _centered_sigmoid(g))
     while True:
-        s = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        g = link(s)
-        if g == 0.0:
+        link = gauss_hermite_expectation(lambda g: g * (_centered_sigmoid(s * g) - r * _centered_sigmoid(g)))
+        slope = gauss_hermite_expectation(lambda g: g * g * _sigmoid_slope(s * g))
+        s_next = s - link / slope
+        if s_next <= np.nextafter(s, 2.0):
             return s
-        if g < 0.0:
-            lo, g_lo = s, g
-            if kept == -1:
-                g_hi *= 0.5
-            kept = -1
-        else:
-            hi, g_hi = s, g
-            if kept == 1:
-                g_lo *= 0.5
-            kept = 1
-        if hi - lo <= 1e-12:
-            return s
+        s = s_next
 
 
 def optimal_scaling_factor(p: int) -> float:

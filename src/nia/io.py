@@ -124,10 +124,22 @@ def _json_ints(value, where: str) -> list[int]:
     return [checked_int(x, where) for x in value]
 
 
-def graph_from_json_obj(obj: dict) -> tuple[AgentGraph, int]:
-    """Graph and feature count ``d`` from a parsed graph file; a malformed
-    description raises a NiaError (InvalidGraph, or the graph checks' own
-    errors)."""
+def write_graph_file(path: str, graph: AgentGraph, d: int) -> None:
+    agents = [
+        {"id": a, "features": sorted(graph.feature_set(a)), "parents": list(graph.parents_of(a))}
+        for a in range(1, graph.num_agents + 1)
+    ]
+    write_json(path, {"d": d, "agents": agents})
+
+
+def read_graph_file(path: str) -> tuple[AgentGraph, int]:
+    """Graph and feature count ``d`` of a graph file; a malformed file raises
+    a NiaError (InvalidGraph, or the graph checks' own errors)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise InvalidGraph(f"{path}: {exc}") from exc
     try:
         d = checked_int(obj["d"], "d")
         agents = obj["agents"]
@@ -142,23 +154,6 @@ def graph_from_json_obj(obj: dict) -> tuple[AgentGraph, int]:
     except (KeyError, TypeError) as exc:
         raise InvalidGraph(f"malformed graph description: {exc}") from exc
     return build_agent_graph(edges, feature_sets, d), d
-
-
-def write_graph_file(path: str, graph: AgentGraph, d: int) -> None:
-    agents = [
-        {"id": a, "features": sorted(graph.feature_set(a)), "parents": list(graph.parents_of(a))}
-        for a in range(1, graph.num_agents + 1)
-    ]
-    write_json(path, {"d": d, "agents": agents})
-
-
-def read_graph_file(path: str) -> tuple[AgentGraph, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise InvalidGraph(f"{path}: {exc}") from exc
-    return graph_from_json_obj(obj)
 
 
 def write_csv(path: str, rows: Iterable[dict], fields: tuple[str, ...]) -> None:

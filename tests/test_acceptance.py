@@ -34,7 +34,7 @@ from nia import (
     residual_moments,
     run_protocol,
 )
-from nia.config import ExperimentConfig
+from nia.config import ExperimentConfig, VerifyConfig
 from nia.experiments import (
     coefficient_suite,
     noise_monotonicity_suite,
@@ -212,10 +212,11 @@ class TestCriterion2ClosedForms:
         assert suite["passed"], detail
 
     def test_2_runtime(self):
+        vc = VerifyConfig()
         start = time.monotonic()
         assert coefficient_suite()["passed"]
         assert scaling_factor_suite()["passed"]
-        assert noise_monotonicity_suite(0.8, 1_000_000, 1)["passed"]
+        assert noise_monotonicity_suite(vc.noise_scale, vc.noise_samples, vc.seed)["passed"]
         elapsed = time.monotonic() - start
         detail = f"closed-form suites in {elapsed:.1f}s <= 60s"
         _report("2 runtime", elapsed <= 60.0, detail)

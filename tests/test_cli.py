@@ -140,6 +140,22 @@ class TestRun:
         assert report["theory"]["rhs_convergence_bound"] is not None
         assert report["stable_block"]["index"] >= 1
 
+    def test_run_uses_the_first_seed_only(self, tmp_path):
+        def report(name, seeds, *flags):
+            cfg = _write_config(
+                tmp_path,
+                {"instance": {"kind": "hard", "k": 3, "n": 1000, "seeds": seeds},
+                 "graph": {"cyclic_depth": 6}, "out_dir": name},
+                name=f"{name}.json",
+            )
+            assert main(["run", "--config", cfg, *flags]) == 0
+            return json.loads((tmp_path / name / "run_report.json").read_text())
+
+        listed = report("listed", [3, 1])
+        flag = report("flag", [1], "--seed", "3")
+        assert listed["seed"] == flag["seed"] == 3
+        assert listed["sink_loss"] == flag["sink_loss"]
+
     def test_single_all_features_agent_reports_zero_excess(self, tmp_path):
         gpath = tmp_path / "g.json"
         gpath.write_text(json.dumps(
@@ -423,11 +439,9 @@ class TestScan:
         cfg_b = _write_config(tmp_path, base | {"out_dir": "par"}, name="b.json")
         assert main(["scan", "--config", cfg_a, "--threads", "1"]) == 0
         assert main(["scan", "--config", cfg_b, "--threads", "2"]) == 0
+        # out_dir is not hashed, so the two files are identical.
         serial = (tmp_path / "serial" / "scan.csv").read_text()
-        parallel = (tmp_path / "par" / "scan.csv").read_text()
-        # Identical except for the differing out_dir hash inputs.
-        strip = lambda text: [line.split(",", 1)[1] for line in text.splitlines()[1:]]
-        assert strip(serial) == strip(parallel)
+        assert (tmp_path / "par" / "scan.csv").read_text() == serial
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_flag_below_one_exits_2(self, tmp_path, capsys, threads):
@@ -547,6 +561,14 @@ class TestVerify:
         configured = suites("configured", FAST_VERIFY | {"seed": 7})
         assert flag == configured
         assert flag != suites("seed1", FAST_VERIFY)
+
+    def test_out_flag_leaves_config_hash(self, tmp_path):
+        cfg = _write_config(tmp_path, {"verify": FAST_VERIFY})
+        reports = []
+        for out in ("a", "b"):
+            assert main(["verify", "--config", cfg, "--seed", "1", "--out", str(tmp_path / out)]) == 0
+            reports.append(json.loads((tmp_path / out / "verify_report.json").read_text()))
+        assert reports[0] == reports[1]
 
     def test_seed_above_128_bits_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

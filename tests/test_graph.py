@@ -118,7 +118,9 @@ class TestBuildAgentGraph:
             ]
             sets = [{int(rng.integers(1, 4))} for _ in range(n)]
             g = build_agent_graph(edges, sets, d=3)
-            g2 = build_agent_graph(g.edges(), g.feature_sets, d=3)
+            # (parent, child) pairs by child id, then parent order
+            rebuilt = [(p, c) for c in range(1, n + 1) for p in g.parents_of(c)]
+            g2 = build_agent_graph(rebuilt, g.feature_sets, d=3)
             assert g2.topo_order == g.topo_order
             assert g2.parents == g.parents
 

@@ -14,7 +14,6 @@ import nia.instances
 from nia import (
     HardInstanceSpec,
     InvalidDimension,
-    QuadratureFailure,
     generate_hard_instance,
     link_scale,
     noise_monotonicity_check,
@@ -261,13 +260,9 @@ class TestOptimalScalingFactor:
             c = optimal_scaling_factor(p)
             assert abs(scaling_gradient(c, p)) <= 1e-10
 
-    # link_scale evaluates the link, the loss derivative in its scale, as one
-    # gauss_hermite_expectation call over a sigmoid; the tests below patch those.
-    def test_bracket_without_sign_change_raises(self, monkeypatch):
-        monkeypatch.setattr(nia.instances, "gauss_hermite_expectation", lambda f, sd=1.0: 1.0)
-        with pytest.raises(QuadratureFailure, match="bracket"):
-            optimal_scaling_factor(2)
-
+    # link_scale evaluates the link and its slope by gauss_hermite_expectation
+    # over the integrands _centered_sigmoid and _sigmoid_slope; the tests below
+    # patch those.
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 8, 16, 64])
     def test_root_takes_few_gradient_evaluations(self, monkeypatch, p):
         calls = []
@@ -288,8 +283,10 @@ class TestOptimalScalingFactor:
         assert abs(optimal_scaling_factor(p) - reference) <= 1e-12
 
     def test_linear_gradient_root(self, monkeypatch):
-        # With an identity sigmoid the link root is r, so c = r^2 = p / (p + 1).
-        monkeypatch.setattr(nia.instances, "sigmoid", lambda x: x)
+        # With the linear link sigmoid(x) = 1/2 + x/4 the link root is r, so
+        # c = r^2 = p / (p + 1).
+        monkeypatch.setattr(nia.instances, "_centered_sigmoid", lambda x: x / 4)
+        monkeypatch.setattr(nia.instances, "_sigmoid_slope", lambda x: np.full_like(x, 0.25))
         assert abs(optimal_scaling_factor(2) - 2 / 3) <= 1e-15
 
     def test_is_link_scale_at_the_pass_norm(self):
@@ -347,6 +344,33 @@ class TestLinkScale:
     def test_negative_or_non_finite_rejected(self, r):
         with pytest.raises(InvalidDimension):
             link_scale(r)
+
+    @pytest.mark.parametrize("r", [1e-300, 1e-20, 1e-13, 1e-12, 1e-9])
+    def test_small_norm_keeps_relative_accuracy(self, r):
+        # Below the quadrature's resolution the link is s/4 - r E[G sigmoid(G)],
+        # so s / r tends to 4 E[G sigmoid(G)] = 0.826484.
+        limit = 4 * gauss_hermite_expectation(lambda g: g * sigmoid(g))
+        assert abs(link_scale(r) / r / limit - 1) <= 1e-12
+
+    def test_newton_takes_at_most_five_iterations(self, monkeypatch):
+        # One evaluation for the start, then a link and a slope per iteration.
+        calls = []
+
+        def counted(f, sd=1.0):
+            calls.append(sd)
+            return gauss_hermite_expectation(f, sd)
+
+        monkeypatch.setattr(nia.instances, "gauss_hermite_expectation", counted)
+        grid = np.concatenate(
+            [np.geomspace(1e-300, 1e-3, 200), np.linspace(1e-3, 0.999, 800), 1 - np.geomspace(1e-16, 1e-3, 200)]
+        )
+        worst = 0
+        for r in grid:
+            calls.clear()
+            s = link_scale(float(r))
+            assert 0.0 < s < 1.0
+            worst = max(worst, len(calls))
+        assert worst <= 11
 
     @pytest.mark.parametrize("r", [1 - 2.0 ** -53, 1 - 2.0 ** -52])
     def test_norm_just_below_one_brackets(self, r):

@@ -258,11 +258,20 @@ class TestConfig:
         cfg = parse_config({})
         assert cfg.instance.kind == "hard"
         assert cfg.solver.grad_tol == 1e-10
-        assert cfg.threads == 1
+        assert cfg.dump_logits is False
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(InvalidConfig):
             parse_config({"instancee": {}})
+
+    def test_threads_is_an_unknown_key(self, tmp_path, capsys):
+        # The worker count is the scan command's --threads flag only.
+        with pytest.raises(InvalidConfig, match=r"unknown key\(s\) in config: \['threads'\]"):
+            parse_config({"threads": 2})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"threads": 2, "scan": {"depths": [2]}}))
+        assert main(["scan", "--config", str(path)]) == 2
+        assert "unknown key(s) in config: ['threads']" in capsys.readouterr().err
 
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -302,8 +311,8 @@ class TestConfig:
         assert cfg.out_dir == str(tmp_path / "out")
 
     def test_config_hash_stable_under_key_order(self):
-        a = parse_config({"instance": {"k": 4, "n": 10}, "threads": 2})
-        b = parse_config({"threads": 2, "instance": {"n": 10, "k": 4}})
+        a = parse_config({"instance": {"k": 4, "n": 10}, "dump_logits": True})
+        b = parse_config({"dump_logits": True, "instance": {"n": 10, "k": 4}})
         assert a.config_hash() == b.config_hash()
 
     def test_config_hash_changes_with_content(self):
@@ -375,15 +384,15 @@ class TestConfig:
             {},
             {"solver": {"grad_tol": 1e-10, "max_iters": 100}},
             {"instance": {"kind": "hard", "k": 4, "n": 100000, "seeds": [1]},
-             "threads": 1, "dump_logits": False},
+             "dump_logits": False, "out_dir": "elsewhere"},
             {"instance": {"k": 4.0}},
         ],
     )
     def test_default_config_hash_pinned(self, obj):
         # Written defaults hash like absent ones; a change to the hash breaks
         # the comparison of reports with earlier runs.
-        assert parse_config(obj).config_hash() == "56a43fedc4a6"
-        assert ExperimentConfig().config_hash() == "56a43fedc4a6"
+        assert parse_config(obj).config_hash() == "143a83ebae8a"
+        assert ExperimentConfig().config_hash() == "143a83ebae8a"
 
     @pytest.mark.parametrize(
         "build",
@@ -392,12 +401,11 @@ class TestConfig:
             lambda: InstanceConfig(kind="file"),
             lambda: GraphConfig(),
             lambda: ScanConfig(depths=(0,)),
-            lambda: ExperimentConfig(threads=0),
             lambda: replace(InstanceConfig(), seeds=(-1,)),
             lambda: replace(VerifyConfig(), noise_samples=1),
         ],
         ids=["duplicate_seeds", "file_without_dataset", "no_graph_source", "zero_depth",
-             "zero_threads", "replace_negative_seed", "replace_single_noise_sample"],
+             "replace_negative_seed", "replace_single_noise_sample"],
     )
     def test_programmatic_construction_is_checked(self, build):
         with pytest.raises(InvalidConfig):
