@@ -44,6 +44,7 @@ from .instances import (
     scaling_gradient,
 )
 from .logistic import (
+    Design,
     FitOptions,
     FitResult,
     bce_loss,
@@ -71,6 +72,7 @@ __all__ = [
     "CoverageResult",
     "CycleDetected",
     "Dataset",
+    "Design",
     "DimensionMismatch",
     "DomainError",
     "FitOptions",

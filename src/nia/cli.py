@@ -13,7 +13,7 @@ from .instances import HardInstanceSpec, generate_hard_instance
 from .io import (
     SCAN_FIELDS,
     LogitSpill,
-    sha256_file,
+    sha256_file,  # noqa: F401  (benchmarks/tracing.py times it by this name)
     write_csv,
     write_dataset_file,
     write_json,
@@ -70,7 +70,7 @@ def cmd_generate(config: ExperimentConfig) -> int:
         dataset = generate_hard_instance(HardInstanceSpec(k=k, n=n, seed=seed))
         name = f"dataset_k{k}_n{n}_seed{seed}.nia"
         path = os.path.join(out, name)
-        write_dataset_file(path, dataset)
+        digest = write_dataset_file(path, dataset)
         write_json(
             path + ".json",
             {
@@ -80,7 +80,7 @@ def cmd_generate(config: ExperimentConfig) -> int:
                 "d": dataset.d,
                 "seed": seed,
                 "file": name,
-                "sha256": sha256_file(path),
+                "sha256": digest,
             },
         )
         print(f"wrote {path}")

@@ -14,10 +14,8 @@ from .errors import DimensionMismatch, NonFinite, NiaError
 _CHECK_BLOCK_ROWS = 1 << 16
 
 
-def _readonly_view(a) -> np.ndarray:
-    """Read-only view of ``a`` as C-contiguous float64; ``a`` is converted
-    (copied) only when it is not already that."""
-    out = np.asarray(a, dtype=np.float64, order="C").view()
+def _readonly_view(a: np.ndarray) -> np.ndarray:
+    out = a.view()
     out.setflags(write=False)
     return out
 
@@ -28,16 +26,22 @@ class Dataset:
 
     ``features`` is n x d (column l holds feature x_l, 1-based externally).
     ``labels`` holds 0.0/1.0. Both are kept as read-only views of the arrays
-    given: a float64 C-order array is not copied, so the caller must not
-    write to it afterwards; anything else is converted once.
+    given: a float64 feature array in C or F order, and a contiguous float64
+    label array, are not copied, so the caller must not write to them
+    afterwards. Other features are converted once, to column-major, the
+    order the generator and the file reader produce: a design's columns are
+    then contiguous.
     """
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        feats = _readonly_view(np.atleast_2d(self.features))
-        labels = _readonly_view(np.ravel(self.labels))
+        feats = np.atleast_2d(self.features)
+        if feats.dtype != np.float64 or not (feats.flags.c_contiguous or feats.flags.f_contiguous):
+            feats = np.asfortranarray(feats, dtype=np.float64)
+        feats = _readonly_view(feats)
+        labels = _readonly_view(np.ascontiguousarray(np.ravel(self.labels), dtype=np.float64))
         if feats.shape[0] != labels.shape[0]:
             raise DimensionMismatch(
                 f"features have {feats.shape[0]} rows but labels have {labels.shape[0]}"

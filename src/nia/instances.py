@@ -187,14 +187,20 @@ def standard_normals(rng: Generator, shape) -> np.ndarray:
 def generate_hard_instance(spec: HardInstanceSpec) -> Dataset:
     """Sample the chained-latent dataset for ``spec``.
 
-    Draw order is fixed (first the n x k latent block Z, then n label
-    uniforms) on a Philox stream keyed by the seed, so bytes are reproducible
-    from (seed, k, n) across platforms. Z is differenced into the features in
-    place, so only the features and labels are returned; the latents are
-    ``standard_normals`` of the stream's first n x k uniforms.
+    Draw order is fixed (first the n x k latent block Z, row by row, then n
+    label uniforms) on a Philox stream keyed by the seed, so bytes are
+    reproducible from (seed, k, n) across platforms. Z is drawn in row
+    blocks, which give the same values, into a column-major array and
+    differenced into the features in place, so only the features and labels
+    are returned; the latents are ``standard_normals`` of the stream's first
+    n x k uniforms.
     """
     rng = Generator(Philox(key=spec.seed))
-    features = standard_normals(rng, (spec.n, spec.k))
+    features = np.empty((spec.n, spec.k), order="F")
+    rows = max(1, _NDTRI_BLOCK // spec.k)
+    for start in range(0, spec.n, rows):
+        block = features[start : start + rows]
+        block[...] = standard_normals(rng, block.shape)
     prob = sigmoid(features[:, -1])
     # Last column first, so each difference still reads Z_{i-1}.
     for i in range(spec.k - 1, 0, -1):

@@ -1,8 +1,10 @@
 """File formats: dataset binary, graph JSON, trace/scan CSV, logit dumps.
 
 Dataset binary layout: magic "NIA1", u64 n, u64 d (little endian), n*d
-row-major float64 feature values, then n label bytes (0/1). All files are
-written atomically (temp file + rename).
+row-major float64 feature values, then n label bytes (0/1). Datasets keep
+their features column-major, so the features are written and read in row
+blocks of at most ``BLOCK_BYTES``. All files are written atomically (temp
+file + rename).
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from .protocol import ProtocolTrace
 
 DATASET_MAGIC = b"NIA1"
 
-# Bytes per block buffer of the logit dump (it holds two), so the dump's
-# memory does not grow with the number of columns.
-LOGIT_DUMP_BLOCK_BYTES = 1 << 20
+# Bytes per block buffer of the dataset reader and writer and of the logit
+# dump (it holds two), so their memory does not grow with the data's width.
+BLOCK_BYTES = 1 << 20
 
 TRACE_FIELDS = ("agent_id", "topo_pos", "loss", "grad_norm", "converged", "l1_weight_norm")
 
@@ -86,21 +88,43 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def write_dataset_file(path: str, dataset: Dataset) -> None:
-    atomic_write_bytes(
-        path,
-        (
-            DATASET_MAGIC + struct.pack("<QQ", dataset.n, dataset.d),
-            np.ascontiguousarray(dataset.features, dtype="<f8"),
-            dataset.labels.astype(np.uint8),
-        ),
-    )
+def _block_rows(n: int, d: int) -> int:
+    """Rows per block of an n x d float64 matrix: at most ``BLOCK_BYTES``,
+    or one row when a row is larger."""
+    return max(1, min(n, BLOCK_BYTES // (8 * max(d, 1))))
+
+
+def write_dataset_file(path: str, dataset: Dataset) -> str:
+    """Write ``dataset`` to a binary dataset file, its features in row
+    blocks copied to one buffer; returns the sha256 hex digest of the bytes
+    written, which ``sha256_file(path)`` would give."""
+    n, d = dataset.n, dataset.d
+    rows = _block_rows(n, d)
+    buf = np.empty((rows, d), dtype="<f8")
+    digest = hashlib.sha256()
+
+    def parts():
+        # Each part is hashed and written before the next one overwrites buf.
+        yield DATASET_MAGIC + struct.pack("<QQ", n, d)
+        for start in range(0, n, rows):
+            block = dataset.features[start : start + rows]
+            buf[: len(block)] = block
+            yield buf[: len(block)]
+        yield dataset.labels.astype(np.uint8)
+
+    def hashed(parts):
+        for part in parts:
+            digest.update(part)
+            yield part
+
+    atomic_write_bytes(path, hashed(parts()))
+    return digest.hexdigest()
 
 
 def read_dataset_file(path: str) -> Dataset:
     """Dataset of a binary dataset file; the header and the file size are
-    checked before anything is allocated, and the features are read straight
-    into the array the dataset keeps."""
+    checked before anything is allocated, and the row-major features are
+    read in row blocks into the column-major array the dataset keeps."""
     offset = 4 + 16
     with open(path, "rb") as fh:
         head = fh.read(offset)
@@ -113,8 +137,18 @@ def read_dataset_file(path: str) -> Dataset:
         expected = offset + 8 * n * d + n
         if size != expected:
             raise NiaError(f"{path}: truncated dataset file ({size} bytes, expected {expected})")
-        feats = np.fromfile(fh, dtype="<f8", count=n * d).reshape(n, d)
-        labels = np.fromfile(fh, dtype=np.uint8, count=n)
+        feats = np.empty((n, d), order="F")
+        rows = _block_rows(n, d)
+        buf = np.empty((rows, d), dtype="<f8")
+        labels = np.empty(n, dtype=np.uint8)
+        for start in range(0, n, rows):
+            block = feats[start : start + rows]
+            part = buf[: len(block)]
+            if fh.readinto(part) != part.nbytes:
+                raise NiaError(f"{path}: dataset file shrank while it was read")
+            block[...] = part
+        if fh.readinto(labels) != n:
+            raise NiaError(f"{path}: dataset file shrank while it was read")
     return Dataset(features=feats, labels=labels)
 
 
@@ -225,8 +259,8 @@ def write_logit_dump(path: str, spill: LogitSpill) -> None:
 
     The matrix is built in row blocks read back from the spill with one
     ``os.preadv`` per column segment, so the dump holds two block buffers of
-    at most ``LOGIT_DUMP_BLOCK_BYTES`` each (more only when one row is
-    larger), whatever n and D are. Until the spill is closed, disk holds the
+    at most ``BLOCK_BYTES`` each (more only when one row is larger),
+    whatever n and D are. Until the spill is closed, disk holds the
     columns twice.
     """
     lengths = spill.lengths
@@ -237,7 +271,7 @@ def write_logit_dump(path: str, spill: LogitSpill) -> None:
         raise NiaError(f"logit dump needs columns of one length, got lengths {sorted(set(lengths))}")
     spill.file.flush()
     fd = spill.file.fileno()
-    rows = max(1, min(n, LOGIT_DUMP_BLOCK_BYTES // (8 * depth)))
+    rows = _block_rows(n, depth)
     segments = np.empty((depth, rows), dtype="<f8")  # one column's rows each
     block = np.empty((rows, depth), dtype="<f8")
 

@@ -30,8 +30,7 @@ _ARMIJO_C1 = 1e-4
 _STEP_SHRINK = 0.5
 _MIN_STEP = 1e-12
 
-# Rows per block of the Hessian sum and the loss's scratch up to width 4; wider
-# designs take proportionally fewer, so Hessian temporaries stay in cache.
+# Rows per block of a pass over a design up to width 4 (see _block_rows).
 _BLOCK_ROWS = 1 << 14
 
 
@@ -65,6 +64,15 @@ def _sigmoid_from_exp(z: np.ndarray, e: np.ndarray, out: np.ndarray, work: np.nd
     """
     np.maximum(e, np.greater_equal(z, 0.0, out=work), out=work)
     return np.divide(work, np.add(e, 1.0, out=out), out=out)
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block of a pass over a design of ``width`` columns. A power
+    of two, so the product over a column-major design, block by block, is
+    bitwise the product over the whole design (BLAS takes the same kernel
+    paths on every block); halved above width 4, where the Hessian's matmul
+    runs faster on blocks that stay in cache."""
+    return _BLOCK_ROWS if width <= 4 else _BLOCK_ROWS // 2
 
 
 def stable_softplus(z):
@@ -141,7 +149,9 @@ def residual_moments(design, logits, labels) -> np.ndarray:
     """Per-column empirical mean of x_l * (sigmoid(z) - y).
 
     At an exact BCE optimum these moments vanish; they are the gradient
-    components of the empirical loss.
+    components of the empirical loss, summed over the row blocks of
+    ``fit_logistic`` in its order, so a fit's ``grad_norm`` is bitwise their
+    sup-norm at its final logits.
     """
     x = np.asarray(design, dtype=np.float64)
     z = np.asarray(logits, dtype=np.float64).ravel()
@@ -150,7 +160,55 @@ def residual_moments(design, logits, labels) -> np.ndarray:
         raise DimensionMismatch(
             f"design {x.shape}, logits {z.shape[0]}, labels {y.shape[0]} do not align"
         )
-    return x.T @ (sigmoid(z) - y) / x.shape[0]
+    r = sigmoid(z) - y
+    moments = np.zeros(x.shape[1])
+    step = _block_rows(x.shape[1])
+    for start in range(0, x.shape[0], step):
+        moments += x[start : start + step].T @ r[start : start + step]
+    return moments / x.shape[0]
+
+
+@dataclass(frozen=True)
+class Design:
+    """The n x m design matrix ``[features[:, idx], *columns]``, held by
+    reference: columns ``idx`` (0-based) of the n x d ``features``, in either
+    memory order, then the length-n ``columns``.
+
+    ``fit_logistic`` gathers it one row block at a time, so the whole matrix
+    is never stored; ``np.asarray(design)`` builds it, column-major, with the
+    same gather. The arrays are not copied, so the caller must not write to
+    them while the design is in use.
+    """
+
+    features: np.ndarray
+    idx: tuple[int, ...]
+    columns: tuple[np.ndarray, ...] = ()
+
+    def __post_init__(self) -> None:
+        n, d = self.features.shape
+        if not all(0 <= j < d for j in self.idx):
+            raise DimensionMismatch(f"feature indices {self.idx} out of range for d={d}")
+        if any(np.shape(c) != (n,) for c in self.columns):
+            raise DimensionMismatch(f"every column must have shape ({n},)")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.features.shape[0], len(self.idx) + len(self.columns)
+
+    def gather(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Rows start:stop of the design, transposed, copied into the first
+        stop - start columns of the (m, >= stop - start) array ``out``;
+        returns that (m, stop - start) view."""
+        block = out[:, : stop - start]
+        for i, j in enumerate(self.idx):
+            block[i] = self.features[start:stop, j]
+        for i, column in enumerate(self.columns, start=len(self.idx)):
+            block[i] = column[start:stop]
+        return block
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        n, m = self.shape
+        return self.gather(0, n, np.empty((m, n))).T.astype(dtype or np.float64, copy=False)
 
 
 @dataclass
@@ -170,6 +228,7 @@ def fit_logistic(
 ) -> FitResult:
     """Minimize empirical BCE over linear logits on the design columns.
 
+    ``design`` is an n x m array (a 1-D array is one column) or a ``Design``.
     The logits are ``design @ weights`` with no bias term; append an
     all-ones column to the design to fit one. Damped Newton from ``start``
     (default the zero vector, one entry per column): take the minimum-norm
@@ -189,34 +248,51 @@ def fit_logistic(
     returned with converged=False and a diagnostic message rather than
     raising.
 
-    Each iterate costs one exponential over the rows: the line search keeps
-    the accepted candidate's loss and exp(-|z|), from which the next
-    gradient and Hessian follow. Every iterate's logits are the product
-    ``design @ weights`` itself (at width 1 one multiply, bitwise the same),
-    not an update of the previous logits, so ``loss`` is bitwise
-    ``bce_loss(design @ result.weights, labels)`` for any float64 design:
-    the fit's loss is the loss of the column a caller publishes.
+    The design is never copied whole. The start and each line-search
+    candidate take one pass over row blocks (``_block_rows``): a
+    ``Design``'s block is gathered into one reused buffer (an array's is a
+    view of it), and the pass forms the block's logits, exp(-|z|), loss rows,
+    sigmoid, gradient and Hessian, so each iterate costs one exponential over
+    the rows. The logits are the product ``design @ weights`` itself (at
+    width 1 one multiply, bitwise the same), not an update of the previous
+    logits, and the loss is the mean of the full-length loss rows, so
+    ``loss`` is bitwise ``bce_loss(design @ result.weights, labels)``: the
+    fit's loss is the loss of the column a caller publishes.
 
     A ``carry`` receives the fit's final logits, their sigmoid, its loss and
     its labels, so a caller can publish those logits as they are. The next
-    fit given it takes the loss and uses the sigmoid array as its own (no
-    copy) when its start logits ``design @ start`` and its labels are bitwise
-    the carried ones, as at pass-through of the column the last fit
-    published; otherwise it evaluates both. Results are bitwise the same.
+    fit given it, from a ``start``, takes the loss and uses the sigmoid array
+    as its own (no copy) when its start logits ``design @ start`` and its
+    labels are bitwise the carried ones, as at pass-through of the column the
+    last fit published; otherwise it evaluates both. Results are bitwise the
+    same.
     """
     opts = opts or FitOptions()
-    x = np.asarray(design, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    # block_of(start, stop) is rows start:stop of the design, transposed.
+    if isinstance(design, Design):
+        n, m = design.shape
+        buf = np.empty((m, min(n, _block_rows(m))))
+
+        def block_of(start: int, stop: int) -> np.ndarray:
+            return design.gather(start, stop, buf)
+
+    else:
+        x = np.asarray(design, dtype=np.float64)
+        if x.ndim == 1:
+            x = x[:, None]
+        n, m = x.shape
+
+        def block_of(start: int, stop: int) -> np.ndarray:
+            return x[start:stop].T
+
     y = np.asarray(labels, dtype=np.float64).ravel()
-    if x.shape[0] != y.shape[0]:
-        raise DimensionMismatch(f"{x.shape[0]} rows vs {y.shape[0]} labels")
-    if x.shape[0] < 1:
+    if n != y.shape[0]:
+        raise DimensionMismatch(f"{n} rows vs {y.shape[0]} labels")
+    if n < 1:
         raise DimensionMismatch("need at least one row")
-    if not np.isfinite(x).all() or not np.isfinite(y).all():
+    if not np.isfinite(y).all():
         raise NonFinite("design or labels contain non-finite values")
 
-    n, m = x.shape
     if start is None:
         theta = np.zeros(m)
     else:
@@ -226,42 +302,60 @@ def fit_logistic(
         if not np.isfinite(theta).all():
             raise NonFinite("start contains non-finite values")
 
-    def product(th: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # A width-1 matmul takes longer than the elementwise multiply.
-        return np.multiply(x[:, 0], th[0], out=out) if m == 1 else np.matmul(x, th, out=out)
+    rows = min(n, _block_rows(m))
+    xw = np.empty((m, rows))  # a block's rows weighted for the Hessian
+    eb, work = np.empty((2, rows))
 
-    def mean_bce(z: np.ndarray, e: np.ndarray, rows: np.ndarray) -> float:
-        # Bitwise bce_loss(z, y); fills e with exp(-|z|).
-        for b, work in blocks:
-            _softplus_exp(z[b], e[b], rows[b], work)
-            rows[b] -= np.multiply(y[b], z[b], out=work)
-        return float(np.mean(rows))
+    def evaluate(th, z, sig, loss_rows, check=False):
+        """One pass at weights ``th``: writes the logits into ``z`` and,
+        unless ``loss_rows`` is None, the loss rows and sigmoid(z) into
+        ``loss_rows`` and ``sig`` (else ``sig`` already holds sigmoid(z));
+        returns the mean loss (None without loss rows), gradient and Hessian.
+        ``check`` rejects a non-finite design entry."""
+        grad, hess = np.zeros(m), np.zeros((m, m))
+        for lo in range(0, n, rows):
+            b = slice(lo, min(lo + rows, n))
+            xt = block_of(lo, b.stop)
+            if check and not np.isfinite(xt).all():
+                raise NonFinite("design or labels contain non-finite values")
+            zb, pb = z[b], sig[b]
+            e, wk = eb[: len(zb)], work[: len(zb)]
+            # A width-1 matmul takes longer than the elementwise multiply.
+            if m == 1:
+                np.multiply(xt[0], th[0], out=zb)
+            else:
+                np.matmul(xt.T, th, out=zb)
+            if loss_rows is not None:
+                _softplus_exp(zb, e, loss_rows[b], wk)
+                loss_rows[b] -= np.multiply(y[b], zb, out=wk)
+                _sigmoid_from_exp(zb, e, pb, wk)
+            grad += xt @ np.subtract(pb, y[b], out=wk)
+            np.multiply(pb, np.subtract(1.0, pb, out=e), out=e)
+            hess += np.multiply(xt, e, out=xw[:, : len(zb)]) @ xt.T
+        loss = None if loss_rows is None else float(np.mean(loss_rows))
+        return loss, grad / n, hess / n
 
     # Four row-length arrays serve the whole fit, because touching fresh
-    # pages costs about as much as the arithmetic; the loss takes its scratch
-    # one row block at a time. z and e hold the current logits and their
-    # sigmoid p, zc and ec the line-search candidate's logits and exp(-|z|);
-    # an accepted candidate swaps places with the current pair. Between those
-    # uses zc is scratch (the sigmoid's, p - y, the Hessian weights) and e
-    # holds the candidate's softplus rows.
-    work = np.empty(min(n, _BLOCK_ROWS * 4 // max(m, 4)))
-    blocks = [(slice(i, i + len(work)), work[: n - i]) for i in range(0, n, len(work))]
-    z = product(theta, np.empty(n))
-    e = None
+    # pages costs about as much as the arithmetic. z and s hold the current
+    # logits and their sigmoid, zc and sc a line-search candidate's; an
+    # accepted candidate swaps places with the current pair. A pass's loss
+    # rows are written over s (over zc at the start), whose values the
+    # current gradient and Hessian no longer need.
+    z, zc, sc = (np.empty(n) for _ in range(3))
+    s = loss = None
     if carry is not None:
-        reuse = carry.sigmoid is not None and np.array_equal(carry.logits, z)
-        if reuse and np.array_equal(carry.labels, y):
-            e, loss = carry.sigmoid, carry.loss
+        if start is not None and carry.sigmoid is not None and np.array_equal(carry.labels, y):
+            s = carry.sigmoid
+            _, grad, hess = evaluate(theta, z, s, None, check=True)
+            if np.array_equal(carry.logits, z):
+                loss = carry.loss
         carry.logits = carry.sigmoid = None
-    zc, ec = np.empty(n), np.empty(n)
-    if e is None:
-        e = np.empty(n)
-        loss = mean_bce(z, e, zc)
-        _sigmoid_from_exp(z, e, e, zc)
+    if loss is None:
+        s = np.empty(n) if s is None else s
+        loss, grad, hess = evaluate(theta, z, s, zc, check=True)
 
     converged, message = False, "max_iters reached"
     for it in range(opts.max_iters + 1):
-        grad = x.T @ np.subtract(e, y, out=zc) / n
         grad_norm = float(np.max(np.abs(grad), initial=0.0))
         if grad_norm <= opts.grad_tol:
             converged, message = True, ""
@@ -272,8 +366,6 @@ def fit_logistic(
         if it == opts.max_iters:
             break
 
-        w = np.multiply(e, np.subtract(1.0, e, out=zc), out=zc)
-        hess = sum((x[b].T * w[b]) @ x[b] for b, _ in blocks) / n
         # Minimum-norm step: collinear columns leave the Hessian singular,
         # and lstsq gives the dependent directions no weight.
         step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
@@ -290,19 +382,18 @@ def fit_logistic(
             t = 1.0
             while not accepted and t >= _MIN_STEP:
                 cand = theta + t * step
-                lc = mean_bce(product(cand, zc), ec, e)
+                lc, gc, hc = evaluate(cand, zc, sc, s)
                 accepted = lc <= loss + _ARMIJO_C1 * t * slope + slack
                 t *= _STEP_SHRINK
             if accepted:
-                theta, loss = cand, lc
-                z, zc, e, ec = zc, z, ec, e
-                _sigmoid_from_exp(z, e, e, zc)
+                theta, loss, grad, hess = cand, lc, gc, hc
+                z, zc, s, sc = zc, z, sc, s
                 break
         if not accepted:
-            e = None
+            s = None
             message = "line search stalled; Hessian may be singular"
             break
 
     if carry is not None:
-        carry.logits, carry.sigmoid, carry.loss, carry.labels = z, e, loss, y
+        carry.logits, carry.sigmoid, carry.loss, carry.labels = z, s, loss, y
     return FitResult(theta, loss, grad_norm, it, converged, message)

@@ -141,8 +141,12 @@ def stable_block(losses, m: int) -> StableBlock:
 
 
 def feature_second_moment_bound(features) -> float:
-    """Empirical B_X: max over columns of sqrt(mean(x_l^2))."""
+    """Empirical B_X: max over columns of sqrt(mean(x_l^2)).
+
+    One column at a time, through one length-n scratch array, so the value
+    is the same for either memory order and no n x d temporary is made."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] == 0:
         raise InvalidDimension("need a nonempty 2-d feature matrix")
-    return float(np.sqrt(np.max(np.mean(x * x, axis=0))))
+    sq = np.empty(x.shape[0])
+    return float(np.sqrt(max(np.mean(np.square(col, out=sq)) for col in x.T)))

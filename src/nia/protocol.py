@@ -3,12 +3,14 @@
 Agents are processed in topological order; each fits a logistic model on its
 local feature columns plus its parents' logit columns and publishes its own
 logit column ``design @ weights``. The fit's loss is that column's loss, so
-each agent has one record, the ``FitResult`` its fit returned. A published
-column lives only until the last agent that reads it has built its design,
-so every run holds the graph's frontier of columns (two on a path), not
-n * D reals; a caller that needs every column takes each one as it is
-published (the logit dump spills them to disk). Each fit records the sup-norm
-of its residual moments, so the orthogonality suite needs no kept column.
+each agent has one record, the ``FitResult`` its fit returned. An agent's
+design is a ``Design`` that refers to the dataset's feature columns and its
+parents' columns, so no agent's design is ever copied whole. A published
+column lives only until the last agent that reads it has been fitted, so
+every run holds the graph's frontier of columns (two on a path), not n * D
+reals; a caller that needs every column takes each one as it is published
+(the logit dump spills them to disk). Each fit records the sup-norm of its
+residual moments, so the orthogonality suite needs no kept column.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DimensionMismatch, MissingParent, NotConvergedWarning
 from .graph import AgentGraph
-from .logistic import FitCarry, FitOptions, FitResult, fit_logistic
-
-_DESIGN_BLOCK_ROWS = 1 << 13  # rows per block of agent_design's feature gather
+from .logistic import Design, FitCarry, FitOptions, FitResult, fit_logistic
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class ProtocolTrace:
     the parent logit weights (declared parent order), and its ``loss`` is
     bitwise ``bce_loss(design @ weights, labels)``. ``logits`` is the run's
     frontier: ``logits[a]`` is agent a's published column from its fit until
-    its last child has built its design, so it is empty when the run returns
+    its last child has been fitted, so it is empty when the run returns
     (it is kept for the benchmark's tracer); ``publish`` gives the columns.
     """
 
@@ -63,26 +63,19 @@ def agent_design(
     graph: AgentGraph,
     agent_id: int,
     columns: Mapping[int, np.ndarray],
-) -> np.ndarray:
-    """Design matrix for one agent: local features in ascending index order,
-    then its parents' published columns ``columns[p]`` in declared parent
-    order; each is contiguous. After a run, ``columns`` is the dict that
-    ``run_protocol(..., publish=columns.__setitem__)`` filled."""
-    idx = [l - 1 for l in sorted(graph.feature_set(agent_id))]
+) -> Design:
+    """Design of one agent, by reference: its local feature columns of
+    ``dataset.features`` in ascending index order, then its parents'
+    published columns ``columns[p]`` in declared parent order.
+    ``np.asarray`` of it is the n x m matrix, column-major. After a run,
+    ``columns`` is the dict that ``run_protocol(..., publish=columns.__setitem__)``
+    filled."""
     parents = graph.parents_of(agent_id)
-    design = np.empty((len(idx) + len(parents), dataset.n))
-    # One column is one strided pass; several cost less gathered in row blocks.
-    if len(idx) == 1:
-        design[0] = dataset.features[:, idx[0]]
-    elif idx:
-        for start in range(0, dataset.n, _DESIGN_BLOCK_ROWS):
-            rows = slice(start, start + _DESIGN_BLOCK_ROWS)
-            design[: len(idx), rows] = dataset.features[rows][:, idx].T
-    for i, parent in enumerate(parents, start=len(idx)):
+    for parent in parents:
         if parent not in columns:
             raise MissingParent(f"agent {agent_id} needs logits of agent {parent}")
-        design[i] = columns[parent]
-    return design.T
+    idx = tuple(l - 1 for l in sorted(graph.feature_set(agent_id)))
+    return Design(dataset.features, idx, tuple(columns[p] for p in parents))
 
 
 def run_protocol(
@@ -105,7 +98,7 @@ def run_protocol(
     threading configuration.
 
     The run streams: a published column lives only until the last agent
-    that reads it (in topological order) has built its design, and a column
+    that reads it (in topological order) has been fitted, and a column
     no agent reads is never kept, so memory is bounded by the graph's
     frontier instead of n * D and the returned ``logits`` is empty.
     ``publish(agent_id, column)``, when given, is how a caller sees every
@@ -132,21 +125,20 @@ def run_protocol(
     for agent_id in graph.topo_order:
         design = agent_design(dataset, graph, agent_id, trace.logits)
         parents = graph.parents_of(agent_id)
-        # The design holds its own copy of every parent column.
-        for parent in parents:
-            if last_reader[parent] == agent_id:
-                del trace.logits[parent]
         start = None
         if parents:
             start = np.zeros(design.shape[1])
             best = np.argmin([trace.models[p].loss for p in parents])
-            start[len(graph.feature_set(agent_id)) + int(best)] = 1.0
+            start[len(design.idx) + int(best)] = 1.0
         trace.models[agent_id] = fit_logistic(design, dataset.labels, opts, start, carry)
+        del design  # it refers to the parent columns freed below
+        for parent in parents:
+            if last_reader[parent] == agent_id:
+                del trace.logits[parent]
         if publish is not None:
             publish(agent_id, carry.logits)
         if agent_id in last_reader:
             trace.logits[agent_id] = carry.logits
-        del design  # before the next agent's design is built, not after
     return trace
 
 

@@ -20,8 +20,9 @@ class TestFiniteness:
 
 
 class TestStorage:
-    def test_float64_c_order_arrays_kept_without_copy(self):
-        features = np.zeros((5, 2))
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_float64_arrays_kept_without_copy(self, order):
+        features = np.zeros((5, 2), order=order)
         labels = np.ones(5)
         ds = Dataset(features=features, labels=labels)
         assert np.shares_memory(ds.features, features)
@@ -30,3 +31,14 @@ class TestStorage:
         assert not ds.labels.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             ds.features[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "features",
+        [np.arange(12.0).reshape(4, 3)[:, ::2], np.arange(8, dtype=np.float32).reshape(4, 2)],
+        ids=["strided", "float32"],
+    )
+    def test_other_arrays_converted_to_column_major(self, features):
+        ds = Dataset(features=features, labels=np.zeros(4))
+        assert ds.features.flags.f_contiguous and ds.features.dtype == np.float64
+        assert not np.shares_memory(ds.features, features)
+        assert np.array_equal(ds.features, features)

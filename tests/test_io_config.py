@@ -67,6 +67,20 @@ class TestDatasetFormat:
         assert np.array_equal(loaded.features, small_dataset.features)
         assert np.array_equal(loaded.labels, small_dataset.labels)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_write_read_write_gives_identical_bytes(self, tmp_path, order, monkeypatch):
+        # Row blocks of 1000 rows leave a short last block.
+        monkeypatch.setattr(nia.io, "BLOCK_BYTES", 8 * 3 * 1000)
+        ds = generate_hard_instance(HardInstanceSpec(k=3, n=2_500, seed=7))
+        ds = nia.Dataset(features=np.asarray(ds.features, order=order), labels=ds.labels)
+        first, second = tmp_path / "a.nia", tmp_path / "b.nia"
+        digest = write_dataset_file(str(first), ds)
+        loaded = read_dataset_file(str(first))
+        assert loaded.features.flags.f_contiguous
+        assert digest == write_dataset_file(str(second), loaded)
+        assert first.read_bytes() == second.read_bytes()
+        assert digest == sha256_file(str(first))
+
     def test_bytes_deterministic(self, small_dataset, tmp_path):
         paths = [tmp_path / "a.nia", tmp_path / "b.nia"]
         for path in paths:
@@ -221,7 +235,7 @@ class TestTraceAndScanCsv:
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=n, seed=1))
         graph = cyclic_path_assignment(3, depth)
         for block_bytes in (1, 8 * depth * 8192, 8 * depth * (n + 1)):
-            monkeypatch.setattr(nia.io, "LOGIT_DUMP_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(nia.io, "BLOCK_BYTES", block_bytes)
             path = tmp_path / "logits.bin"
             matrix = _dump_streaming_run(path, ds, graph)
             want = n.to_bytes(8, "little") + depth.to_bytes(8, "little") + matrix.astype("<f8").tobytes()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nia import (
+    Design,
     DimensionMismatch,
     FitOptions,
     HardInstanceSpec,
@@ -302,10 +303,9 @@ class TestFitLogistic:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_wide_design_row_blocks_match_one_block(self, monkeypatch, order):
-        # Width 6 takes fewer rows per block than width 4; n leaves a short
-        # last block.
+        # n leaves a short last block.
         rng = np.random.default_rng(47)
-        n = 3 * (nia.logistic._BLOCK_ROWS * 4 // 6) + 101
+        n = 3 * nia.logistic._BLOCK_ROWS + 101
         design = np.asarray(rng.normal(size=(n, 6)), order=order)
         labels = (rng.random(n) < sigmoid(design @ np.linspace(-0.6, 0.6, 6))).astype(float)
         blocked = fit_logistic(design, labels)
@@ -314,6 +314,39 @@ class TestFitLogistic:
         assert blocked.converged and one_block.converged
         assert np.allclose(blocked.weights, one_block.weights, rtol=0, atol=1e-9)
         assert blocked.loss == bce_loss(design @ blocked.weights, labels)
+
+
+class TestDesign:
+    def test_fit_matches_fit_on_its_matrix(self):
+        # Two feature columns of a C-ordered matrix, out of order, then an
+        # extra column; n leaves a short last block.
+        rng = np.random.default_rng(53)
+        n = 2 * nia.logistic._BLOCK_ROWS + 9
+        features = rng.normal(size=(n, 4))
+        extra = rng.normal(size=n)
+        labels = (rng.random(n) < sigmoid(features[:, 1] - 0.5 * extra)).astype(float)
+        design = Design(features, (3, 1), (extra,))
+        matrix = np.asarray(design)
+        assert matrix.flags.f_contiguous
+        assert np.array_equal(matrix, np.column_stack([features[:, 3], features[:, 1], extra]))
+        a, b = fit_logistic(design, labels), fit_logistic(matrix, labels)
+        assert a.iterations > 0
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert (a.loss, a.grad_norm, a.iterations) == (b.loss, b.grad_norm, b.iterations)
+
+    def test_bad_shapes_rejected(self):
+        features = np.zeros((5, 2))
+        with pytest.raises(DimensionMismatch):
+            Design(features, (2,))
+        with pytest.raises(DimensionMismatch):
+            Design(features, (0,), (np.zeros(4),))
+
+    def test_nonfinite_entry_in_last_block_rejected(self):
+        n = nia.logistic._BLOCK_ROWS + 3
+        features = np.zeros((n, 2))
+        features[-1, 1] = np.inf
+        with pytest.raises(NonFinite):
+            fit_logistic(Design(features, (1,)), np.zeros(n))
 
 
 class TestWarmStart:
@@ -352,7 +385,8 @@ class TestWarmStart:
     def test_loss_is_bce_of_final_logits(self, problem):
         # Every iterate's logits are the product design @ weights, so the
         # loss is bitwise that of the column a caller publishes, for a
-        # C-ordered design and for a column-major one as agent_design builds.
+        # C-ordered design, for an agent's design as the protocol fits it,
+        # and for the column-major matrix that design builds.
         design, labels = problem
         assert design.flags.c_contiguous
         fit = fit_logistic(design, labels, start=[0.0, 0.0, 1.0])
@@ -364,11 +398,13 @@ class TestWarmStart:
         columns = {}
         run_protocol(ds, graph, publish=columns.__setitem__)
         for agent in (4, 5):
-            design = agent_design(ds, graph, agent, columns)
+            by_reference = agent_design(ds, graph, agent, columns)
+            design = np.asarray(by_reference)
             assert design.flags.f_contiguous and not design.flags.c_contiguous
-            fit = fit_logistic(design, ds.labels, start=[0.5, 0.5])
-            assert fit.iterations > 0
-            assert fit.loss == bce_loss(design @ fit.weights, ds.labels), agent
+            for d in (by_reference, design):
+                fit = fit_logistic(d, ds.labels, start=[0.5, 0.5])
+                assert fit.iterations > 0
+                assert fit.loss == bce_loss(design @ fit.weights, ds.labels), agent
 
     @pytest.mark.parametrize("start", [[1.0], [1.0, 0.0, 0.0, 0.0]])
     def test_wrong_length_rejected(self, problem, start):

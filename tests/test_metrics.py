@@ -241,6 +241,12 @@ class TestBoundFormulas:
         rhs = residual_bound_rhs(gfit.l1_norm, b_x, 3, epsilon)
         assert lhs <= rhs
 
+    def test_second_moment_bound_same_in_either_order(self):
+        features = generate_hard_instance(HardInstanceSpec(k=4, n=10_001, seed=3)).features
+        reference = max(np.sqrt(np.mean(np.square(features[:, l]))) for l in range(4))
+        for order in ("C", "F"):
+            assert feature_second_moment_bound(np.asarray(features, order=order)) == reference
+
     def test_convergence_bound_formula(self):
         assert convergence_bound_rhs(2.0, 1.5, 3, 9) == pytest.approx(3.0, rel=1e-15)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nia import (
+    Dataset,
     DimensionMismatch,
     FitOptions,
     HardInstanceSpec,
@@ -24,6 +25,7 @@ from nia import (
     run_protocol,
     sink_excess_loss,
 )
+import nia.logistic
 import nia.protocol
 from nia.logistic import FitCarry
 
@@ -87,32 +89,32 @@ def dataset():
 class TestAgentDesign:
     def test_source_agent_single_column(self, dataset):
         g = build_agent_graph([], [{2}], d=3)
-        design = agent_design(dataset, g, 1, {})
+        design = np.asarray(agent_design(dataset, g, 1, {}))
         assert np.array_equal(design[:, 0], dataset.features[:, 1])
 
     def test_local_features_then_parent_logits(self, dataset):
         g = build_agent_graph([(1, 2)], [{3}, {1}], d=3)
         columns = {1: np.arange(float(dataset.n))}
-        design = agent_design(dataset, g, 2, columns)
+        design = np.asarray(agent_design(dataset, g, 2, columns))
         assert design.shape == (dataset.n, 2)
         assert np.array_equal(design[:, 0], dataset.features[:, 0])
         assert np.array_equal(design[:, 1], columns[1])
 
     def test_feature_columns_in_ascending_index_order(self, dataset):
         g = build_agent_graph([], [{3, 1}], d=3)
-        design = agent_design(dataset, g, 1, {})
+        design = np.asarray(agent_design(dataset, g, 1, {}))
         assert np.array_equal(design[:, 0], dataset.features[:, 0])
         assert np.array_equal(design[:, 1], dataset.features[:, 2])
 
     @pytest.mark.parametrize("features", [{2}, {1, 3}, {1, 2, 3}])
     def test_matches_stacked_columns_across_row_blocks(self, features):
-        # n is not a multiple of the gather's row block.
+        # n is not a multiple of the row block.
         ds = generate_hard_instance(
-            HardInstanceSpec(k=3, n=2 * nia.protocol._DESIGN_BLOCK_ROWS + 77, seed=2)
+            HardInstanceSpec(k=3, n=2 * nia.logistic._BLOCK_ROWS + 77, seed=2)
         )
         g = build_agent_graph([(1, 2)], [{1}, features], d=3)
         columns = {1: np.arange(float(ds.n))}
-        design = agent_design(ds, g, 2, columns)
+        design = np.asarray(agent_design(ds, g, 2, columns))
         cols = [ds.features[:, l - 1] for l in sorted(features)] + [columns[1]]
         assert np.array_equal(design, np.stack(cols).T)
         assert design.flags.f_contiguous
@@ -126,7 +128,7 @@ class TestAgentDesign:
         # First agent of pass 2 sees feature 1 plus the pass-1 sink logit.
         g = cyclic_path_assignment(3, 4)
         _, columns = _run_with_columns(dataset, g)
-        design = agent_design(dataset, g, 4, columns)
+        design = np.asarray(agent_design(dataset, g, 4, columns))
         assert np.array_equal(design[:, 0], dataset.features[:, 0])
         assert np.array_equal(design[:, 1], columns[3])
 
@@ -325,6 +327,60 @@ class TestStreaming:
         assert peaks[64] - peaks[16] <= 2 * 8 * n, peaks
 
 
+    def test_peak_memory_holds_no_agent_design(self):
+        # Fits read each agent's columns in row blocks, so the peak is the
+        # fit's four row arrays, the frontier and the block buffers; an
+        # n x 6 copy of the widest design would pass 7 columns.
+        n = 100_000
+        ds = generate_hard_instance(HardInstanceSpec(k=8, n=n, seed=1))
+        graph = _windowed_path()
+        width = max(
+            len(graph.feature_set(a)) + len(graph.parents_of(a)) for a in graph.topo_order
+        )
+        assert width == 6
+        # The gathered block and its weighted copy, then two scratch rows.
+        blocks = 8 * (2 * width + 2) * nia.logistic._block_rows(width)
+        tracemalloc.start()
+        try:
+            run_protocol(ds, graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 8 * n + blocks, peak
+
+
+class TestGatheredDesign:
+    """A fit gathers its design from the dataset's columns one row block at a
+    time; the published column is bitwise the product with the whole design."""
+
+    @staticmethod
+    def _widths_path():
+        # Agent w has width w: w - 1 features and its predecessor's column.
+        features = [{1}] + [set(range(1, w)) for w in range(2, 10)]
+        return build_agent_graph([(a, a + 1) for a in range(1, 9)], features, d=8)
+
+    def test_every_width_publishes_the_product_in_either_order(self):
+        # n is not a multiple of any block's rows.
+        n = 2 * nia.logistic._BLOCK_ROWS + 77
+        f_ds = generate_hard_instance(HardInstanceSpec(k=8, n=n, seed=4))
+        assert f_ds.features.flags.f_contiguous
+        c_ds = Dataset(features=np.ascontiguousarray(f_ds.features), labels=f_ds.labels)
+        assert c_ds.features.flags.c_contiguous
+        graph = self._widths_path()
+        published = {}
+        for ds in (f_ds, c_ds):
+            trace, columns = _run_with_columns(ds, graph)
+            for agent in graph.topo_order:
+                model = trace.models[agent]
+                design = np.asarray(agent_design(ds, graph, agent, columns))
+                assert design.shape == (n, agent)
+                assert columns[agent].tobytes() == (design @ model.weights).tobytes(), agent
+                assert model.loss == bce_loss(columns[agent], ds.labels), agent
+            published[ds.features.flags.c_contiguous] = columns
+        for agent in graph.topo_order:
+            assert published[True][agent].tobytes() == published[False][agent].tobytes()
+
+
 class TestCarriedState:
     """Carrying each fit's final state to the next fit changes no result."""
 
@@ -376,7 +432,7 @@ class TestCarriedState:
         graph = build_agent_graph([(1, 2), (2, 3)], [{1}, {2, 3}, set()], d=3)
         trace, columns = _run_with_columns(ds, graph)
         for agent, start in ((1, None), (3, [1.0])):
-            f_design = agent_design(ds, graph, agent, columns)
+            f_design = np.asarray(agent_design(ds, graph, agent, columns))
             c_design = np.ascontiguousarray(f_design[:, 0]).reshape(-1, 1)
             assert f_design.strides != c_design.strides
             for design in (f_design, c_design):
