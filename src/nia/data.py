@@ -9,9 +9,16 @@ import numpy as np
 from .errors import DimensionMismatch, NonFinite, NiaError
 
 
-# Rows per block of the finiteness check, so it needs no whole-matrix
-# temporary.
-_CHECK_BLOCK_ROWS = 1 << 16
+# Bytes a streamed pass may hold per block: every pass over rows (the
+# finiteness check, the dataset and logit files, the generator, the noise
+# Monte Carlo, the fit) takes its rows from ``block_rows``.
+BLOCK_BYTES = 1 << 20
+
+
+def block_rows(width: int) -> int:
+    """Rows per block of a pass that streams ``width`` float64 values per
+    row: as many as fit in ``BLOCK_BYTES``, and at least one."""
+    return max(1, BLOCK_BYTES // (8 * max(width, 1)))
 
 
 def _readonly_view(a: np.ndarray) -> np.ndarray:
@@ -46,8 +53,9 @@ class Dataset:
             raise DimensionMismatch(
                 f"features have {feats.shape[0]} rows but labels have {labels.shape[0]}"
             )
-        for start in range(0, feats.shape[0], _CHECK_BLOCK_ROWS):
-            if not np.isfinite(feats[start : start + _CHECK_BLOCK_ROWS]).all():
+        rows = block_rows(feats.shape[1])
+        for start in range(0, feats.shape[0], rows):
+            if not np.isfinite(feats[start : start + rows]).all():
                 raise NonFinite("features contain non-finite entries")
         if not np.isin(labels, (0.0, 1.0)).all():
             raise NiaError("labels must contain only 0 and 1")

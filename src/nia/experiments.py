@@ -300,12 +300,13 @@ def pinsker_suite(trials: int, seed: int) -> dict:
 
 def coefficient_suite() -> dict:
     """Numeric minimization of the pass-predictor residual variance must
-    match the closed form (coefficient-difference sum and minimal value)."""
+    match the closed form: the sum of the differences of its coefficients
+    and its minimal value."""
     worst = 0.0
     for p in COEFFICIENT_PASSES:
         for c in COEFFICIENT_SCALES:
             closed = optimal_pass_coefficients(p, c)
-            s_closed = -c * (p - 1) / p
+            s_closed = float(np.sum(np.diff(closed.coefficients)))
             s_num, var_num = numeric_pass_coefficients(p, c)
             worst = max(worst, abs(s_num - s_closed), abs(var_num - closed.residual_variance))
     return _suite(
@@ -335,8 +336,8 @@ def noise_monotonicity_suite(c: float, n_mc: int, seed: int) -> dict:
     """Loss strictly increases with the logit noise variance, with the
     paired Monte Carlo margin measured in standard errors.
 
-    Every pair shares one (Z, xi) stream, drawn and evaluated in blocks of
-    65536 rows, so memory does not grow with ``n_mc``."""
+    Every pair shares one (Z, xi) stream, drawn and evaluated in row blocks
+    within ``nia.data.BLOCK_BYTES``, so memory does not grow with ``n_mc``."""
     comparisons = noise_monotonicity_check(c, NOISE_VARIANCE_PAIRS, n_mc, seed)
     pairs = [
         {

@@ -17,17 +17,13 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.random import Generator, Philox
 
-from .data import Dataset
+from .data import Dataset, block_rows
 from .errors import InvalidDimension
 from .logistic import _libm, _softplus_exp, sigmoid
 
 QUADRATURE_NODES = 200
 
 MAX_SEED = 2**128 - 1  # seeds key Philox streams, whose keys are 128-bit
-
-# Rows per block of the noise Monte Carlo, so its memory does not grow with
-# the sample count.
-_MC_BLOCK_ROWS = 1 << 16
 
 # Cephes ndtri, the inverse normal CDF behind scipy.special.ndtri: its
 # constants and rational approximations, coefficients highest degree first.
@@ -66,8 +62,6 @@ _NDTRI_Q2 = (
     2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
     2.89247864745380683936e-6, 6.79019408009981274425e-9,
 )
-# Values per block of the inverse CDF, so its scratch stays in cache.
-_NDTRI_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -141,14 +135,16 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     function in (u - 1/2)^2 times u - 1/2, which carries the sign. Below
     that, it is a rational tail in x = sqrt(-2 log u), negated, with other
     coefficients for x >= 8; above, the same tail on 1 - u. Values go
-    through in blocks of _NDTRI_BLOCK with scratch allocated once.
+    through in blocks of ``block_rows(5)``, the five float64 scratch rows,
+    allocated once.
     """
     flat = u.reshape(-1)
-    size = min(flat.size, _NDTRI_BLOCK)
+    step = block_rows(5)
+    size = min(flat.size, step)
     y, y2, num, den, vals = np.empty((5, size))
     tail, above = np.empty((2, size), dtype=bool)
-    for start in range(0, flat.size, _NDTRI_BLOCK):
-        block = flat[start : start + _NDTRI_BLOCK]
+    for start in range(0, flat.size, step):
+        block = flat[start : start + step]
         m = block.size
         np.less_equal(block, _EXP_M2, out=tail[:m])
         np.greater(block, 1.0 - _EXP_M2, out=above[:m])
@@ -197,7 +193,7 @@ def generate_hard_instance(spec: HardInstanceSpec) -> Dataset:
     """
     rng = Generator(Philox(key=spec.seed))
     features = np.empty((spec.n, spec.k), order="F")
-    rows = max(1, _NDTRI_BLOCK // spec.k)
+    rows = block_rows(spec.k)
     for start in range(0, spec.n, rows):
         block = features[start : start + rows]
         block[...] = standard_normals(rng, block.shape)
@@ -378,10 +374,11 @@ def noise_monotonicity_check(
 
     Z is ``Generator(Philox(key=seed)).standard_normal`` and xi the same on
     ``Philox(key=seed).jumped()``, an independent stream 2**128 draws on.
-    Both are drawn and used in 65536-row blocks through buffers allocated
-    once (c Z and sigmoid(Z) formed once per block), so memory does not grow
-    with n_mc. Block means and sums of squared deviations are merged
-    with Chan, Golub and LeVeque's pairwise rule; the per-sample losses are
+    Both are drawn and used in blocks of ``block_rows(7 + len(variances))``
+    rows (seven row buffers and a loss row per variance, allocated once; c Z
+    and sigmoid(Z) formed once per block), so memory does not grow with
+    n_mc. Block means and sums of squared deviations are merged with Chan,
+    Golub and LeVeque's pairwise rule; the per-sample losses are
     those of a whole-array computation, and only the order of summation
     differs, which moves the means and standard errors in their last bits.
     """
@@ -405,9 +402,10 @@ def noise_monotonicity_check(
 
     z_rng = Generator(Philox(key=seed))
     xi_rng = Generator(Philox(key=seed).jumped())
-    buf = np.empty((7 + len(variances), min(n_mc, _MC_BLOCK_ROWS)))
-    for start in range(0, n_mc, _MC_BLOCK_ROWS):
-        rows = min(_MC_BLOCK_ROWS, n_mc - start)
+    step = min(n_mc, block_rows(7 + len(variances)))
+    buf = np.empty((7 + len(variances), step))
+    for start in range(0, n_mc, step):
+        rows = min(step, n_mc - start)
         z_lat, xi, cz, z, e, sp, work = buf[:7, :rows]
         losses = buf[7:, :rows]
         z_rng.standard_normal(out=z_lat)

@@ -3,8 +3,9 @@
 Dataset binary layout: magic "NIA1", u64 n, u64 d (little endian), n*d
 row-major float64 feature values, then n label bytes (0/1). Datasets keep
 their features column-major, so the features are written and read in row
-blocks of at most ``BLOCK_BYTES``. All files are written atomically (temp
-file + rename).
+blocks of ``nia.data.block_rows(d)`` rows, and the logit dump is built in
+blocks of ``block_rows(D)``. All files are written atomically (temp file +
+rename).
 """
 
 from __future__ import annotations
@@ -20,16 +21,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .data import Dataset
+from . import data
+from .data import Dataset, block_rows
 from .errors import InvalidGraph, NiaError
 from .graph import AgentGraph, build_agent_graph, checked_int
 from .protocol import ProtocolTrace
 
 DATASET_MAGIC = b"NIA1"
-
-# Bytes per block buffer of the dataset reader and writer and of the logit
-# dump (it holds two), so their memory does not grow with the data's width.
-BLOCK_BYTES = 1 << 20
 
 TRACE_FIELDS = ("agent_id", "topo_pos", "loss", "grad_norm", "converged", "l1_weight_norm")
 
@@ -83,15 +81,9 @@ def write_json(path: str, obj) -> None:
 def sha256_file(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(data.BLOCK_BYTES), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _block_rows(n: int, d: int) -> int:
-    """Rows per block of an n x d float64 matrix: at most ``BLOCK_BYTES``,
-    or one row when a row is larger."""
-    return max(1, min(n, BLOCK_BYTES // (8 * max(d, 1))))
 
 
 def write_dataset_file(path: str, dataset: Dataset) -> str:
@@ -99,8 +91,8 @@ def write_dataset_file(path: str, dataset: Dataset) -> str:
     blocks copied to one buffer; returns the sha256 hex digest of the bytes
     written, which ``sha256_file(path)`` would give."""
     n, d = dataset.n, dataset.d
-    rows = _block_rows(n, d)
-    buf = np.empty((rows, d), dtype="<f8")
+    rows = block_rows(d)
+    buf = np.empty((min(n, rows), d), dtype="<f8")
     digest = hashlib.sha256()
 
     def parts():
@@ -138,8 +130,8 @@ def read_dataset_file(path: str) -> Dataset:
         if size != expected:
             raise NiaError(f"{path}: truncated dataset file ({size} bytes, expected {expected})")
         feats = np.empty((n, d), order="F")
-        rows = _block_rows(n, d)
-        buf = np.empty((rows, d), dtype="<f8")
+        rows = block_rows(d)
+        buf = np.empty((min(n, rows), d), dtype="<f8")
         labels = np.empty(n, dtype=np.uint8)
         for start in range(0, n, rows):
             block = feats[start : start + rows]
@@ -259,9 +251,9 @@ def write_logit_dump(path: str, spill: LogitSpill) -> None:
 
     The matrix is built in row blocks read back from the spill with one
     ``os.preadv`` per column segment, so the dump holds two block buffers of
-    at most ``BLOCK_BYTES`` each (more only when one row is larger),
-    whatever n and D are. Until the spill is closed, disk holds the
-    columns twice.
+    ``block_rows(D)`` rows, within ``nia.data.BLOCK_BYTES`` each unless one
+    row is larger, whatever n and D are. Until the spill is closed, disk
+    holds the columns twice.
     """
     lengths = spill.lengths
     if not lengths:
@@ -271,9 +263,9 @@ def write_logit_dump(path: str, spill: LogitSpill) -> None:
         raise NiaError(f"logit dump needs columns of one length, got lengths {sorted(set(lengths))}")
     spill.file.flush()
     fd = spill.file.fileno()
-    rows = _block_rows(n, depth)
-    segments = np.empty((depth, rows), dtype="<f8")  # one column's rows each
-    block = np.empty((rows, depth), dtype="<f8")
+    rows = block_rows(depth)
+    segments = np.empty((depth, min(n, rows)), dtype="<f8")  # one column's rows each
+    block = np.empty((min(n, rows), depth), dtype="<f8")
 
     def blocks():
         # Each yielded block is written before the next one overwrites it.

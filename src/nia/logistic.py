@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import block_rows
 from .errors import DimensionMismatch, LengthMismatch, NonFinite
 
 # Fits whose weight norm passes this cap are reported unconverged; empirical
@@ -29,9 +30,6 @@ WEIGHT_NORM_CAP = 1e4
 _ARMIJO_C1 = 1e-4
 _STEP_SHRINK = 0.5
 _MIN_STEP = 1e-12
-
-# Rows per block of a pass over a design up to width 4 (see _block_rows).
-_BLOCK_ROWS = 1 << 14
 
 
 def _libm(ufunc: np.ufunc, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -64,15 +62,6 @@ def _sigmoid_from_exp(z: np.ndarray, e: np.ndarray, out: np.ndarray, work: np.nd
     """
     np.maximum(e, np.greater_equal(z, 0.0, out=work), out=work)
     return np.divide(work, np.add(e, 1.0, out=out), out=out)
-
-
-def _block_rows(width: int) -> int:
-    """Rows per block of a pass over a design of ``width`` columns. A power
-    of two, so the product over a column-major design, block by block, is
-    bitwise the product over the whole design (BLAS takes the same kernel
-    paths on every block); halved above width 4, where the Hessian's matmul
-    runs faster on blocks that stay in cache."""
-    return _BLOCK_ROWS if width <= 4 else _BLOCK_ROWS // 2
 
 
 def stable_softplus(z):
@@ -162,7 +151,7 @@ def residual_moments(design, logits, labels) -> np.ndarray:
         )
     r = sigmoid(z) - y
     moments = np.zeros(x.shape[1])
-    step = _block_rows(x.shape[1])
+    step = 1 << (block_rows(x.shape[1] + 4).bit_length() - 1)  # the fit's rows
     for start in range(0, x.shape[0], step):
         moments += x[start : start + step].T @ r[start : start + step]
     return moments / x.shape[0]
@@ -215,7 +204,8 @@ class Design:
 class FitCarry:
     """The final logits ``design @ weights`` of the last fit given this
     object, their sigmoid (None if its line search stalled, since the search
-    overwrote that array), its loss and its labels (held, not copied)."""
+    overwrote that array), its loss and the labels argument it was given
+    (held, not copied)."""
 
     logits: np.ndarray | None = None
     sigmoid: np.ndarray | None = None
@@ -249,7 +239,10 @@ def fit_logistic(
     raising.
 
     The design is never copied whole. The start and each line-search
-    candidate take one pass over row blocks (``_block_rows``): a
+    candidate take one pass over row blocks of ``nia.data.block_rows`` for
+    the design row and the four row arrays below, rounded down to a power of
+    two: BLAS then takes the same kernel paths on every block, so the
+    blocked product over a column-major design is bitwise the whole one. A
     ``Design``'s block is gathered into one reused buffer (an array's is a
     view of it), and the pass forms the block's logits, exp(-|z|), loss rows,
     sigmoid, gradient and Hessian, so each iterate costs one exponential over
@@ -261,29 +254,31 @@ def fit_logistic(
 
     A ``carry`` receives the fit's final logits, their sigmoid, its loss and
     its labels, so a caller can publish those logits as they are. The next
-    fit given it, from a ``start``, takes the loss and uses the sigmoid array
-    as its own (no copy) when its start logits ``design @ start`` and its
-    labels are bitwise the carried ones, as at pass-through of the column the
-    last fit published; otherwise it evaluates both. Results are bitwise the
-    same.
+    fit given it takes the loss and the sigmoid (the array itself, no copy)
+    when, decided before any pass, ``design`` is a ``Design``, ``start`` is
+    pass-through of one of its extra columns (weight 1 on it, 0 elsewhere)
+    and that column is the carried logits array, and ``labels`` is the
+    carried labels array: then ``design @ start`` is bitwise the carried
+    logits. Otherwise it evaluates both, once. Results are bitwise the same.
     """
     opts = opts or FitOptions()
+    if not isinstance(design, Design):
+        design = np.asarray(design, dtype=np.float64)
+        if design.ndim == 1:
+            design = design[:, None]
+    n, m = design.shape
+    rows = min(n, 1 << (block_rows(m + 4).bit_length() - 1))
     # block_of(start, stop) is rows start:stop of the design, transposed.
     if isinstance(design, Design):
-        n, m = design.shape
-        buf = np.empty((m, min(n, _block_rows(m))))
+        buf = np.empty((m, rows))
 
         def block_of(start: int, stop: int) -> np.ndarray:
             return design.gather(start, stop, buf)
 
     else:
-        x = np.asarray(design, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[:, None]
-        n, m = x.shape
 
         def block_of(start: int, stop: int) -> np.ndarray:
-            return x[start:stop].T
+            return design[start:stop].T
 
     y = np.asarray(labels, dtype=np.float64).ravel()
     if n != y.shape[0]:
@@ -302,7 +297,6 @@ def fit_logistic(
         if not np.isfinite(theta).all():
             raise NonFinite("start contains non-finite values")
 
-    rows = min(n, _block_rows(m))
     xw = np.empty((m, rows))  # a block's rows weighted for the Hessian
     eb, work = np.empty((2, rows))
 
@@ -344,15 +338,18 @@ def fit_logistic(
     z, zc, sc = (np.empty(n) for _ in range(3))
     s = loss = None
     if carry is not None:
-        if start is not None and carry.sigmoid is not None and np.array_equal(carry.labels, y):
-            s = carry.sigmoid
-            _, grad, hess = evaluate(theta, z, s, None, check=True)
-            if np.array_equal(carry.logits, z):
-                loss = carry.loss
+        # A carried sigmoid array serves as s whether or not it is reused. It
+        # is reused when theta passes through extra column j of a Design and
+        # that column is the carried logits: design @ theta is then bitwise it.
+        s, hot = carry.sigmoid, np.flatnonzero(theta)
+        j = hot[0] - len(design.idx) if hot.size == 1 and isinstance(design, Design) else -1
+        through = j >= 0 and theta[hot[0]] == 1.0 and design.columns[j] is carry.logits
+        if s is not None and carry.labels is labels and through:
+            loss = carry.loss
         carry.logits = carry.sigmoid = None
-    if loss is None:
-        s = np.empty(n) if s is None else s
-        loss, grad, hess = evaluate(theta, z, s, zc, check=True)
+    s = np.empty(n) if s is None else s
+    fresh, grad, hess = evaluate(theta, z, s, zc if loss is None else None, check=True)
+    loss = fresh if loss is None else loss
 
     converged, message = False, "max_iters reached"
     for it in range(opts.max_iters + 1):
@@ -395,5 +392,5 @@ def fit_logistic(
             break
 
     if carry is not None:
-        carry.logits, carry.sigmoid, carry.loss, carry.labels = z, s, loss, y
+        carry.logits, carry.sigmoid, carry.loss, carry.labels = z, s, loss, labels
     return FitResult(theta, loss, grad_norm, it, converged, message)

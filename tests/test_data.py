@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from nia import Dataset, NonFinite
-from nia.data import _CHECK_BLOCK_ROWS
+from nia.data import block_rows
 
 
 class TestFiniteness:
-    ROWS = 2 * _CHECK_BLOCK_ROWS + 5
+    # The check streams the two features of each row.
+    ROWS = 2 * block_rows(2) + 5
 
     @pytest.mark.parametrize("row", [0, ROWS - 1])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

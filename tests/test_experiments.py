@@ -3,12 +3,20 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import nia.experiments
-from nia import HardInstanceSpec, InvalidConfig, generate_hard_instance
+from nia import HardInstanceSpec, InvalidConfig, generate_hard_instance, optimal_pass_coefficients
 from nia.config import parse_config
-from nia.experiments import decomposition_suite, run_experiment, scan_experiment, verify_experiment
+from nia.experiments import (
+    coefficient_suite,
+    decomposition_suite,
+    run_experiment,
+    scan_experiment,
+    verify_experiment,
+)
+from nia.instances import PassPredictor
 
 
 def _graph_file(tmp_path, obj):
@@ -125,6 +133,23 @@ class TestScanExperiment:
         })
         with pytest.raises(InvalidConfig):
             scan_experiment(config)
+
+
+class TestCoefficientSuite:
+    def test_passes_on_the_closed_form(self):
+        suite = coefficient_suite()
+        assert suite["passed"] is True
+        assert suite["details"]["max_deviation"] <= 1e-15
+
+    def test_fails_when_the_closed_form_coefficients_are_wrong(self, monkeypatch):
+        # Every coefficient 123.0: the residual variance is still right, but
+        # the differences no longer sum to -c (p - 1) / p.
+        def wrong(p, c):
+            right = optimal_pass_coefficients(p, c)
+            return PassPredictor(np.full(p, 123.0), right.residual_variance)
+
+        monkeypatch.setattr(nia.experiments, "optimal_pass_coefficients", wrong)
+        assert coefficient_suite()["passed"] is False
 
 
 class TestVerifyExperiment:

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import ndtri
 
+import nia.data
 import nia.instances
 from nia import (
     HardInstanceSpec,
@@ -144,6 +145,18 @@ class TestGenerator:
         h = hashlib.sha256(ds.features.tobytes())
         h.update(ds.labels.tobytes())
         assert h.hexdigest() == digest
+
+    def test_bytes_do_not_depend_on_block_budget(self, monkeypatch):
+        # Under the default budget these 1000 rows are one block; under a
+        # budget of three rows of k values, the draws, the inverse CDF and the
+        # finiteness check go three rows (or values) at a time.
+        spec = HardInstanceSpec(k=5, n=1_000, seed=3)
+        default = generate_hard_instance(spec)
+        monkeypatch.setattr(nia.data, "BLOCK_BYTES", 8 * spec.k * 3)
+        assert nia.data.block_rows(spec.k) == 3
+        small = generate_hard_instance(spec)
+        assert small.features.tobytes() == default.features.tobytes()
+        assert small.labels.tobytes() == default.labels.tobytes()
 
 
 class TestNdtri:
@@ -432,10 +445,15 @@ def _fresh_array_noise_check(c, pairs, n_mc, seed, block_rows):
 
 
 class TestNoiseMonotonicity:
-    @pytest.mark.parametrize("n_mc", [2, 65536, 65537])
+    # Rows per block with the pairs below: seven row buffers and a loss row
+    # for each of their five variances.
+    BLOCK_ROWS = nia.data.block_rows(7 + 5)
+
+    @pytest.mark.parametrize("n_mc", [2, BLOCK_ROWS, BLOCK_ROWS + 1])
     def test_block_buffers_bitwise_match_fresh_arrays(self, n_mc):
         pairs = [*NOISE_VARIANCE_PAIRS, (0.25, 1.0)]
-        block_rows = nia.instances._MC_BLOCK_ROWS
+        assert len({v for pair in pairs for v in pair}) == 5
+        block_rows = self.BLOCK_ROWS
         expected = _fresh_array_noise_check(0.8, pairs, n_mc, 4, block_rows)
         got = noise_monotonicity_check(0.8, pairs, n_mc, 4)
         assert [(g.loss_small, g.loss_large, g.std_error) for g in got] == expected

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import nia.io
+import nia.data
 from nia import (
     HardInstanceSpec,
     InvalidConfig,
@@ -70,7 +70,7 @@ class TestDatasetFormat:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_write_read_write_gives_identical_bytes(self, tmp_path, order, monkeypatch):
         # Row blocks of 1000 rows leave a short last block.
-        monkeypatch.setattr(nia.io, "BLOCK_BYTES", 8 * 3 * 1000)
+        monkeypatch.setattr(nia.data, "BLOCK_BYTES", 8 * 3 * 1000)
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=2_500, seed=7))
         ds = nia.Dataset(features=np.asarray(ds.features, order=order), labels=ds.labels)
         first, second = tmp_path / "a.nia", tmp_path / "b.nia"
@@ -80,6 +80,12 @@ class TestDatasetFormat:
         assert digest == write_dataset_file(str(second), loaded)
         assert first.read_bytes() == second.read_bytes()
         assert digest == sha256_file(str(first))
+
+    def test_empty_dataset_roundtrip(self, tmp_path):
+        path = str(tmp_path / "empty.nia")
+        write_dataset_file(path, nia.Dataset(features=np.zeros((0, 3)), labels=np.zeros(0)))
+        loaded = read_dataset_file(path)
+        assert loaded.features.shape == (0, 3) and loaded.labels.shape == (0,)
 
     def test_bytes_deterministic(self, small_dataset, tmp_path):
         paths = [tmp_path / "a.nia", tmp_path / "b.nia"]
@@ -231,15 +237,25 @@ class TestTraceAndScanCsv:
         # 20000 rows of 4 columns in blocks of one row (a block buffer of
         # fewer bytes than a row still takes one), of 8192 rows (two full
         # ones and a partial last one) and of more rows than the columns.
+        # Only the dump runs under each budget; the run's fits keep theirs.
         n, depth = 20_000, 4
         ds = generate_hard_instance(HardInstanceSpec(k=3, n=n, seed=1))
         graph = cyclic_path_assignment(3, depth)
-        for block_bytes in (1, 8 * depth * 8192, 8 * depth * (n + 1)):
-            monkeypatch.setattr(nia.io, "BLOCK_BYTES", block_bytes)
-            path = tmp_path / "logits.bin"
-            matrix = _dump_streaming_run(path, ds, graph)
+        path = tmp_path / "logits.bin"
+        columns = {}
+        with LogitSpill(str(tmp_path)) as spill:
+
+            def publish(agent, column):
+                spill.write(agent, column)
+                columns[agent] = column
+
+            order = run_protocol(ds, graph, publish=publish).order
+            matrix = np.column_stack([columns[a] for a in order])
             want = n.to_bytes(8, "little") + depth.to_bytes(8, "little") + matrix.astype("<f8").tobytes()
-            assert path.read_bytes() == want, block_bytes
+            for block_bytes in (1, 8 * depth * 8192, 8 * depth * (n + 1)):
+                monkeypatch.setattr(nia.data, "BLOCK_BYTES", block_bytes)
+                write_logit_dump(str(path), spill)
+                assert path.read_bytes() == want, block_bytes
 
     @pytest.mark.parametrize(
         "cut",

@@ -23,10 +23,17 @@ from nia import (
     sigmoid,
     stable_softplus,
 )
+import nia.data
 import nia.logistic
 from nia.logistic import FitCarry
 
 LOG2 = math.log(2.0)
+
+
+def _fit_block_rows(width):
+    # A fit's rows per block: the budget's rows for the design row and the
+    # fit's four row arrays, rounded down to a power of two.
+    return 1 << (nia.data.block_rows(width + 4).bit_length() - 1)
 
 
 def _reference_sigmoid(z):
@@ -305,11 +312,12 @@ class TestFitLogistic:
     def test_wide_design_row_blocks_match_one_block(self, monkeypatch, order):
         # n leaves a short last block.
         rng = np.random.default_rng(47)
-        n = 3 * nia.logistic._BLOCK_ROWS + 101
+        n = 3 * _fit_block_rows(6) + 101
         design = np.asarray(rng.normal(size=(n, 6)), order=order)
         labels = (rng.random(n) < sigmoid(design @ np.linspace(-0.6, 0.6, 6))).astype(float)
         blocked = fit_logistic(design, labels)
-        monkeypatch.setattr(nia.logistic, "_BLOCK_ROWS", 2 * n)
+        monkeypatch.setattr(nia.data, "BLOCK_BYTES", 8 * (6 + 4) * 2 * n)
+        assert _fit_block_rows(6) >= n
         one_block = fit_logistic(design, labels)
         assert blocked.converged and one_block.converged
         assert np.allclose(blocked.weights, one_block.weights, rtol=0, atol=1e-9)
@@ -321,7 +329,7 @@ class TestDesign:
         # Two feature columns of a C-ordered matrix, out of order, then an
         # extra column; n leaves a short last block.
         rng = np.random.default_rng(53)
-        n = 2 * nia.logistic._BLOCK_ROWS + 9
+        n = 2 * _fit_block_rows(3) + 9
         features = rng.normal(size=(n, 4))
         extra = rng.normal(size=n)
         labels = (rng.random(n) < sigmoid(features[:, 1] - 0.5 * extra)).astype(float)
@@ -334,6 +342,24 @@ class TestDesign:
         assert a.weights.tobytes() == b.weights.tobytes()
         assert (a.loss, a.grad_norm, a.iterations) == (b.loss, b.grad_norm, b.iterations)
 
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_fit_block_rows_are_pinned(self, monkeypatch, width):
+        # 2^14 rows up to width 4 and 2^13 up to width 12: the blocked sums,
+        # and so the bits, of every fit the protocol runs stay as they were.
+        n = 2**14 + 1
+        rows = []
+        gather = Design.gather
+
+        def recording(self, start, stop, out):
+            rows.append(stop - start)
+            return gather(self, start, stop, out)
+
+        monkeypatch.setattr(Design, "gather", recording)
+        fit_logistic(Design(np.zeros((n, width)), tuple(range(width))), np.zeros(n))
+        want = 2**14 if width <= 4 else 2**13
+        assert rows[0] == want == _fit_block_rows(width)
+        assert sum(rows) == n
+
     def test_bad_shapes_rejected(self):
         features = np.zeros((5, 2))
         with pytest.raises(DimensionMismatch):
@@ -342,7 +368,7 @@ class TestDesign:
             Design(features, (0,), (np.zeros(4),))
 
     def test_nonfinite_entry_in_last_block_rejected(self):
-        n = nia.logistic._BLOCK_ROWS + 3
+        n = _fit_block_rows(1) + 3
         features = np.zeros((n, 2))
         features[-1, 1] = np.inf
         with pytest.raises(NonFinite):
@@ -449,18 +475,29 @@ class TestFitCarry:
         assert fit.loss == bce_loss(design @ optimum, other)
         _assert_same_fit(fit, fit_logistic(design, other, start=optimum))
 
-    def test_reused_state_gives_the_same_fit(self, problem):
-        # The second fit starts at pass-through of the first fit's column.
+    def test_reused_state_gives_the_same_fit(self, problem, monkeypatch):
+        # The second fit starts at pass-through of the column the first fit
+        # published, held as the extra column of its Design, so it takes the
+        # carried loss: its start pass forms no loss rows (one block of rows).
         design, labels = problem
         carry = FitCarry()
-        first = fit_logistic(design[:, :2], labels, carry=carry)
-        extended = np.column_stack([design, design[:, :2] @ first.weights])
+        fit_logistic(Design(design, (0, 1)), labels, carry=carry)
+        extended = Design(design, (0, 1, 2), (carry.logits,))
         start = [0.0, 0.0, 0.0, 1.0]
-        assert carry.logits.tobytes() == (extended @ start).tobytes()
+        softplus_passes = []
+        softplus = nia.logistic._softplus_exp
+
+        def counting(*args):
+            softplus_passes.append(None)
+            return softplus(*args)
+
+        monkeypatch.setattr(nia.logistic, "_softplus_exp", counting)
         fit = fit_logistic(extended, labels, start=start, carry=carry)
+        reused = len(softplus_passes)
         assert fit.iterations > 0
         _assert_same_fit(fit, fit_logistic(extended, labels, start=start))
-        assert carry.logits.tobytes() == (extended @ fit.weights).tobytes()
+        assert reused == len(softplus_passes) - reused - 1
+        assert carry.logits.tobytes() == (np.asarray(extended) @ fit.weights).tobytes()
 
 
 class TestResidualMoments:

@@ -8,6 +8,7 @@ import pytest
 
 from nia import (
     Dataset,
+    Design,
     DimensionMismatch,
     FitOptions,
     HardInstanceSpec,
@@ -25,11 +26,18 @@ from nia import (
     run_protocol,
     sink_excess_loss,
 )
+import nia.data
 import nia.logistic
 import nia.protocol
 from nia.logistic import FitCarry
 
 LOG2 = math.log(2.0)
+
+
+def _fit_block_rows(width):
+    # A fit's rows per block: the budget's rows for the design row and the
+    # fit's four row arrays, rounded down to a power of two.
+    return 1 << (nia.data.block_rows(width + 4).bit_length() - 1)
 
 
 def _run_with_columns(ds, graph, opts=None):
@@ -110,7 +118,7 @@ class TestAgentDesign:
     def test_matches_stacked_columns_across_row_blocks(self, features):
         # n is not a multiple of the row block.
         ds = generate_hard_instance(
-            HardInstanceSpec(k=3, n=2 * nia.logistic._BLOCK_ROWS + 77, seed=2)
+            HardInstanceSpec(k=3, n=2 * _fit_block_rows(4) + 77, seed=2)
         )
         g = build_agent_graph([(1, 2)], [{1}, features], d=3)
         columns = {1: np.arange(float(ds.n))}
@@ -339,7 +347,7 @@ class TestStreaming:
         )
         assert width == 6
         # The gathered block and its weighted copy, then two scratch rows.
-        blocks = 8 * (2 * width + 2) * nia.logistic._block_rows(width)
+        blocks = 8 * (2 * width + 2) * _fit_block_rows(width)
         tracemalloc.start()
         try:
             run_protocol(ds, graph)
@@ -361,7 +369,7 @@ class TestGatheredDesign:
 
     def test_every_width_publishes_the_product_in_either_order(self):
         # n is not a multiple of any block's rows.
-        n = 2 * nia.logistic._BLOCK_ROWS + 77
+        n = 2 * _fit_block_rows(1) + 77
         f_ds = generate_hard_instance(HardInstanceSpec(k=8, n=n, seed=4))
         assert f_ds.features.flags.f_contiguous
         c_ds = Dataset(features=np.ascontiguousarray(f_ds.features), labels=f_ds.labels)
@@ -395,24 +403,35 @@ class TestCarriedState:
     )
     def test_run_matches_cleared_state_bitwise(self, monkeypatch, k, graph, carried_fits):
         ds = generate_hard_instance(HardInstanceSpec(k=k, n=20_000, seed=5))
-        reused = []
+        softplus_passes = []
+        softplus = nia.logistic._softplus_exp
 
-        def carried(design, labels, opts, start, carry):
-            reused.append(
-                start is not None
-                and carry.sigmoid is not None
-                and np.array_equal(carry.logits, design @ start)
-            )
-            return fit_logistic(design, labels, opts, start, carry)
+        def counting(*args):
+            softplus_passes.append(None)
+            return softplus(*args)
 
-        def cleared(design, labels, opts, start, carry):
-            carry.sigmoid = None
-            return fit_logistic(design, labels, opts, start, carry)
+        def counted_fits(clear):
+            counts = []
 
+            def fit(design, labels, opts, start, carry):
+                if clear:
+                    carry.sigmoid = None
+                before = len(softplus_passes)
+                result = fit_logistic(design, labels, opts, start, carry)
+                counts.append(len(softplus_passes) - before)
+                return result
+
+            return fit, counts
+
+        monkeypatch.setattr(nia.logistic, "_softplus_exp", counting)
+        carried, with_counts = counted_fits(clear=False)
+        cleared, without_counts = counted_fits(clear=True)
         monkeypatch.setattr(nia.protocol, "fit_logistic", carried)
         with_state, with_columns = _run_with_columns(ds, graph)
         monkeypatch.setattr(nia.protocol, "fit_logistic", cleared)
         without, without_columns = _run_with_columns(ds, graph)
+        # A fit that takes the carried loss forms no loss rows on its start.
+        reused = [a < b for a, b in zip(with_counts, without_counts)]
         if carried_fits is None:
             # Some agent's best parent is not the agent fitted just before it.
             assert 0 < sum(reused) < len(reused) - 1, reused
@@ -423,6 +442,31 @@ class TestCarriedState:
             assert a.weights.tobytes() == b.weights.tobytes(), agent
             assert (a.loss, a.iterations, a.grad_norm) == (b.loss, b.iterations, b.grad_norm)
             assert with_columns[agent].tobytes() == without_columns[agent].tobytes()
+
+    def test_carry_never_adds_a_pass(self, monkeypatch):
+        # Reuse is decided before any pass, so no fit given the run's carry
+        # gathers more row blocks than the same fit without it.
+        ds = generate_hard_instance(HardInstanceSpec(k=6, n=20_000, seed=5))
+        gathers, counts = [], []
+        gather = Design.gather
+
+        def counting(self, start, stop, out):
+            gathers.append(start)
+            return gather(self, start, stop, out)
+
+        def with_and_without(design, labels, opts, start, carry):
+            before = len(gathers)
+            fit_logistic(design, labels, opts, start)
+            without = len(gathers) - before
+            result = fit_logistic(design, labels, opts, start, carry)
+            counts.append((len(gathers) - before - without, without))
+            return result
+
+        monkeypatch.setattr(Design, "gather", counting)
+        monkeypatch.setattr(nia.protocol, "fit_logistic", with_and_without)
+        run_protocol(ds, _layered_dag(3, 3))
+        assert len(counts) == 10
+        assert all(with_carry <= without for with_carry, without in counts), counts
 
     def test_width_one_column_is_the_product(self):
         # The first agent of a path (one feature, no parent) iterates from
