@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import types
 import typing
@@ -43,16 +42,15 @@ class InstanceConfig:
             raise InvalidConfig("instance.seeds must be distinct")
         if any(not 0 <= s <= MAX_SEED for s in self.seeds):
             raise InvalidConfig("instance.seeds must lie in [0, 2**128 - 1]")
+        if (self.dataset is None) == (self.kind == "file"):
+            raise InvalidConfig("instance.dataset is set if and only if instance.kind='file'")
         if self.kind == "hard":
             if self.k < 2:
                 raise InvalidConfig(f"instance.k must be >= 2, got {self.k}")
             if self.n < 1:
                 raise InvalidConfig(f"instance.n must be >= 1, got {self.n}")
-        else:
-            if self.dataset is None:
-                raise InvalidConfig("instance.kind='file' requires instance.dataset")
-            if not os.path.exists(self.dataset):
-                raise InvalidConfig(f"dataset file not found: {self.dataset}")
+        elif not os.path.exists(self.dataset):
+            raise InvalidConfig(f"dataset file not found: {self.dataset}")
 
 
 @dataclass(frozen=True)
@@ -75,13 +73,12 @@ class GraphConfig:
 @dataclass(frozen=True)
 class ScanConfig:
     depths: tuple[int, ...] = ()
-    passes: tuple[int, ...] = ()
     windows: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.depths and not self.passes:
-            raise InvalidConfig("scan needs a non-empty 'depths' or 'passes' grid")
-        if any(x < 1 for x in self.depths + self.passes + self.windows):
+        if not self.depths:
+            raise InvalidConfig("scan needs a non-empty 'depths' grid")
+        if any(x < 1 for x in self.depths + self.windows):
             raise InvalidConfig("scan grid values must be >= 1")
 
 
@@ -95,24 +92,17 @@ class VerifyConfig:
     depth: int = 16
     n_protocol: int = 100_000
     n_decomposition: int = 100_000
-    decomposition_grad_tol: float = 1e-12
-    decomposition_perturbations: int = 20
     pinsker_trials: int = 10_000
     noise_samples: int = 1_000_000
-    noise_scale: float = 0.8
 
     def __post_init__(self) -> None:
         minimums = {"seed": 0, "k": 2, "depth": 1, "n_protocol": 1, "n_decomposition": 1,
-                    "decomposition_perturbations": 1, "pinsker_trials": 1, "noise_samples": 2}
+                    "pinsker_trials": 1, "noise_samples": 2}
         for key, low in minimums.items():
             if getattr(self, key) < low:
                 raise InvalidConfig(f"verify.{key} must be >= {low}, got {getattr(self, key)}")
         if self.seed > MAX_SEED:
             raise InvalidConfig(f"verify.seed must be <= 2**128 - 1, got {self.seed}")
-        if not self.decomposition_grad_tol > 0:
-            raise InvalidConfig("verify.decomposition_grad_tol must be > 0")
-        if not math.isfinite(self.noise_scale):
-            raise InvalidConfig(f"verify.noise_scale must be finite, got {self.noise_scale}")
 
 
 @dataclass(frozen=True)

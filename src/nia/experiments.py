@@ -38,11 +38,14 @@ C_RANGE_PASSES = (1, 2, 4, 8, 16, 64)
 COEFFICIENT_PASSES = (2, 3, 4, 5, 6)
 COEFFICIENT_SCALES = (0.3, 0.7, 1.0)
 NOISE_VARIANCE_PAIRS = ((0.0, 0.5), (0.5, 1.0), (1.0, 2.0))
+NOISE_SCALE = 0.8  # the logit scale c of the noise Monte Carlo
 
 # Pass thresholds of the verification suites.
 MOMENT_LIMIT = 1e-9  # largest residual moment of a converged agent
 LOSS_RISE_LIMIT = 1e-9  # largest loss increase along the path
 DECOMPOSITION_LIMIT = 1e-8  # largest decomposition-identity residual
+DECOMPOSITION_GRAD_TOL = 1e-12  # the global fit's tolerance, which that limit presumes
+DECOMPOSITION_PERTURBATIONS = 20  # perturbed comparators of the decomposition check
 PINSKER_FLOOR = -1e-12  # smallest KL - 2 (p - q)^2 gap
 COEFFICIENT_LIMIT = 1e-9  # largest closed-form deviation
 SCALING_GRADIENT_LIMIT = 1e-10  # largest |loss derivative| at an optimal scale
@@ -138,10 +141,8 @@ def _scan_grid(config: ExperimentConfig) -> list[tuple[int, int]]:
     sc = config.scan
     if sc is None:
         raise InvalidConfig("scan requires a 'scan' section")
-    k = config.instance.k
-    depths = sorted(set(sc.depths) | {k * p for p in sc.passes})
-    windows = sc.windows if sc.windows else (k,)
-    grid = [(depth, m) for depth in depths for m in windows]
+    windows = sc.windows or (config.instance.k,)
+    grid = [(depth, m) for depth in sorted(set(sc.depths)) for m in windows]
     for depth, m in grid:
         if m > depth:
             raise InvalidConfig(f"scan window {m} exceeds depth {depth}")
@@ -269,12 +270,11 @@ def monotone_loss_suite(trace: ProtocolTrace) -> dict:
 def decomposition_suite(dataset: Dataset, config: ExperimentConfig) -> dict:
     """Loss-decomposition identity around the global fit on ``dataset`` for
     perturbed comparators; the residual scales with the achieved gradient norm."""
-    vc = config.verify
-    gfit = global_logistic_fit(dataset, replace(config.solver, grad_tol=vc.decomposition_grad_tol))
-    rng = np.random.Generator(np.random.Philox(key=vc.seed))
+    gfit = global_logistic_fit(dataset, replace(config.solver, grad_tol=DECOMPOSITION_GRAD_TOL))
+    rng = np.random.Generator(np.random.Philox(key=config.verify.seed))
     comparators = (
         dataset.features @ (gfit.weights + rng.uniform(-0.1, 0.1, size=dataset.d))
-        for _ in range(vc.decomposition_perturbations)
+        for _ in range(DECOMPOSITION_PERTURBATIONS)
     )
     worst = verify_decomposition(dataset.labels, dataset.features @ gfit.weights, comparators)
     return _suite(
@@ -332,13 +332,13 @@ def scaling_factor_suite() -> dict:
     )
 
 
-def noise_monotonicity_suite(c: float, n_mc: int, seed: int) -> dict:
-    """Loss strictly increases with the logit noise variance, with the
-    paired Monte Carlo margin measured in standard errors.
+def noise_monotonicity_suite(n_mc: int, seed: int) -> dict:
+    """Loss at logit scale ``NOISE_SCALE`` strictly increases with the noise
+    variance, with the paired Monte Carlo margin measured in standard errors.
 
     Every pair shares one (Z, xi) stream, drawn and evaluated in row blocks
     within ``nia.data.BLOCK_BYTES``, so memory does not grow with ``n_mc``."""
-    comparisons = noise_monotonicity_check(c, NOISE_VARIANCE_PAIRS, n_mc, seed)
+    comparisons = noise_monotonicity_check(NOISE_SCALE, NOISE_VARIANCE_PAIRS, n_mc, seed)
     pairs = [
         {
             "v_small": v_small,
@@ -381,9 +381,7 @@ def verify_experiment(config: ExperimentConfig) -> dict:
         "monotone_loss": monotone_loss,
         "coefficient_closed_form": coefficient_suite(),
         "scaling_factor_range": scaling_factor_suite(),
-        "noise_monotonicity": noise_monotonicity_suite(
-            vc.noise_scale, vc.noise_samples, vc.seed
-        ),
+        "noise_monotonicity": noise_monotonicity_suite(vc.noise_samples, vc.seed),
     }
     return {
         "config_hash": config.config_hash(),

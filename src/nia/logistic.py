@@ -108,8 +108,8 @@ class FitOptions:
     max_iters: int = 100
 
     def __post_init__(self) -> None:
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0 < self.grad_tol < np.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -134,6 +134,13 @@ class FitResult:
         object.__setattr__(self, "l1_norm", float(np.abs(w).sum()))
 
 
+def _fit_rows(m: int) -> int:
+    """Rows per block of a fit over m columns and of ``residual_moments``:
+    ``block_rows`` of a design row and four row arrays, rounded down to a
+    power of two."""
+    return 1 << (block_rows(m + 4).bit_length() - 1)
+
+
 def residual_moments(design, logits, labels) -> np.ndarray:
     """Per-column empirical mean of x_l * (sigmoid(z) - y).
 
@@ -151,7 +158,7 @@ def residual_moments(design, logits, labels) -> np.ndarray:
         )
     r = sigmoid(z) - y
     moments = np.zeros(x.shape[1])
-    step = 1 << (block_rows(x.shape[1] + 4).bit_length() - 1)  # the fit's rows
+    step = _fit_rows(x.shape[1])
     for start in range(0, x.shape[0], step):
         moments += x[start : start + step].T @ r[start : start + step]
     return moments / x.shape[0]
@@ -174,6 +181,8 @@ class Design:
     columns: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self) -> None:
+        if np.ndim(self.features) != 2:
+            raise DimensionMismatch(f"features must be 2-D, got shape {np.shape(self.features)}")
         n, d = self.features.shape
         if not all(0 <= j < d for j in self.idx):
             raise DimensionMismatch(f"feature indices {self.idx} out of range for d={d}")
@@ -239,9 +248,8 @@ def fit_logistic(
     raising.
 
     The design is never copied whole. The start and each line-search
-    candidate take one pass over row blocks of ``nia.data.block_rows`` for
-    the design row and the four row arrays below, rounded down to a power of
-    two: BLAS then takes the same kernel paths on every block, so the
+    candidate take one pass over row blocks of ``_fit_rows(m)`` rows, a
+    power of two: BLAS then takes the same kernel paths on every block, so the
     blocked product over a column-major design is bitwise the whole one. A
     ``Design``'s block is gathered into one reused buffer (an array's is a
     view of it), and the pass forms the block's logits, exp(-|z|), loss rows,
@@ -267,7 +275,7 @@ def fit_logistic(
         if design.ndim == 1:
             design = design[:, None]
     n, m = design.shape
-    rows = min(n, 1 << (block_rows(m + 4).bit_length() - 1))
+    rows = min(n, _fit_rows(m))
     # block_of(start, stop) is rows start:stop of the design, transposed.
     if isinstance(design, Design):
         buf = np.empty((m, rows))

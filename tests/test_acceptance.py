@@ -216,7 +216,7 @@ class TestCriterion2ClosedForms:
         start = time.monotonic()
         assert coefficient_suite()["passed"]
         assert scaling_factor_suite()["passed"]
-        assert noise_monotonicity_suite(vc.noise_scale, vc.noise_samples, vc.seed)["passed"]
+        assert noise_monotonicity_suite(vc.noise_samples, vc.seed)["passed"]
         elapsed = time.monotonic() - start
         detail = f"closed-form suites in {elapsed:.1f}s <= 60s"
         _report("2 runtime", elapsed <= 60.0, detail)

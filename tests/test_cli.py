@@ -140,6 +140,18 @@ class TestRun:
         assert report["theory"]["rhs_convergence_bound"] is not None
         assert report["stable_block"]["index"] >= 1
 
+    def test_infinite_grad_tol_literal_exits_2(self, tmp_path, capsys):
+        # Python's json reads the Infinity literal; a fit with that tolerance
+        # would stop at its start point and report it converged.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"instance": {"k": 3, "n": 500}, "graph": {"cyclic_depth": 3},'
+            ' "solver": {"grad_tol": Infinity}, "out_dir": "out"}'
+        )
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "grad_tol must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_run_uses_the_first_seed_only(self, tmp_path):
         def report(name, seeds, *flags):
             cfg = _write_config(
@@ -537,12 +549,9 @@ class TestVerify:
             "coefficient_closed_form:", "scaling_factor_range:", "noise_monotonicity:",
         ]
 
-    def test_loose_gradient_tolerance_fails_decomposition(self, tmp_path, capsys):
-        cfg = _write_config(
-            tmp_path,
-            {"verify": FAST_VERIFY | {"decomposition_grad_tol": 1e-2},
-             "out_dir": "out"},
-        )
+    def test_loose_gradient_tolerance_fails_decomposition(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(nia.experiments, "DECOMPOSITION_GRAD_TOL", 1e-2)
+        cfg = _write_config(tmp_path, {"verify": FAST_VERIFY, "out_dir": "out"})
         assert main(["verify", "--config", cfg]) == 1
         out = capsys.readouterr().out
         assert "FAIL decomposition" in out

@@ -115,15 +115,6 @@ class TestScanExperiment:
         assert [r["upper_bound"] is None for r in rows] == [True, False, True, False]
         assert all(r["error"] is None for r in rows)
 
-    def test_pass_grid_merges_into_depth_grid(self):
-        config = parse_config({
-            "instance": {"kind": "hard", "k": 3, "n": 400, "seeds": [1]},
-            "scan": {"depths": [3], "passes": [1, 2]},
-        })
-        rows = scan_experiment(config)
-        assert [r["D"] for r in rows] == [3, 6]
-        assert [r["p"] for r in rows] == [1, 2]
-
     def test_file_instance_rejected(self, tmp_path):
         data = tmp_path / "d.nia"
         data.write_bytes(b"NIA1" + (0).to_bytes(8, "little") * 2)

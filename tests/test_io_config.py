@@ -2,7 +2,9 @@
 
 import json
 import tracemalloc
-from dataclasses import replace
+import types
+import typing
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -307,6 +309,43 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             parse_config({"solver": {"gradtol": 1e-6}})
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [("verify", "decomposition_grad_tol"), ("verify", "decomposition_perturbations"),
+         ("verify", "noise_scale"), ("scan", "passes")],
+    )
+    def test_removed_key_is_unknown(self, section, key):
+        # Constants of the verify suites now, and a second spelling of scan.depths.
+        with pytest.raises(InvalidConfig) as info:
+            parse_config({section: {key: 1}})
+        assert str(info.value) == f"unknown key(s) in {section}: ['{key}']"
+
+    def test_settable_keys_are_listed(self):
+        # Every config value callers may set; a new key is an edit here.
+        listed = {
+            "instance.kind", "instance.k", "instance.n", "instance.seeds", "instance.dataset",
+            "graph.cyclic_depth", "graph.file", "graph.m",
+            "solver.grad_tol", "solver.max_iters",
+            "scan.depths", "scan.windows",
+            "verify.seed", "verify.k", "verify.depth", "verify.n_protocol",
+            "verify.n_decomposition", "verify.pinsker_trials", "verify.noise_samples",
+            "out_dir", "dump_logits",
+        }
+
+        def keys(cls, prefix=""):
+            hints = typing.get_type_hints(cls)
+            for f in fields(cls):
+                tp = hints[f.name]
+                if typing.get_origin(tp) is types.UnionType:  # X | None
+                    tp = typing.get_args(tp)[0]
+                if is_dataclass(tp):
+                    yield from keys(tp, f"{prefix}{f.name}.")
+                else:
+                    yield prefix + f.name
+
+        assert len(listed) == 21
+        assert set(keys(ExperimentConfig)) == listed
+
     def test_k_below_two_rejected(self):
         with pytest.raises(InvalidConfig):
             parse_config({"instance": {"kind": "hard", "k": 1}})
@@ -384,15 +423,16 @@ class TestConfig:
             ({"instance": {"k": 4.7}}, "instance.k"),
             ({"instance": {"seeds": [1.5]}}, "instance.seeds"),
             ({"scan": {"depths": [8.9]}}, "scan.depths"),
-            ({"verify": {"noise_scale": "nan"}}, "verify.noise_scale"),
-            ({"verify": {"decomposition_perturbations": 0}}, "verify.decomposition_perturbations"),
-            ({"verify": {"decomposition_grad_tol": 0}}, "verify.decomposition_grad_tol"),
+            ({"solver": {"grad_tol": "nan"}}, "solver.grad_tol"),
+            ({"solver": {"grad_tol": 0}}, "solver: grad_tol"),
+            ({"solver": {"grad_tol": -float("inf")}}, "solver: grad_tol"),
             ({"instance": {"n": "100"}}, "instance.n"),
             ({"instance": {"n": True}}, "instance.n"),
             ({"solver": {"grad_tol": "1e-3"}}, "solver.grad_tol"),
             ({"scan": {"depths": ["4"]}}, "scan.depths"),
             ({"threads": True}, "threads"),
-            ({"verify": {"noise_scale": float("inf")}}, "verify.noise_scale"),
+            ({"solver": {"grad_tol": float("inf")}}, "solver: grad_tol"),
+            ({"instance": {"kind": "hard", "dataset": "x.nia"}}, "instance.dataset"),
         ],
     )
     def test_malformed_value_is_invalid_config(self, tmp_path, capsys, obj, key):
@@ -421,8 +461,8 @@ class TestConfig:
     def test_default_config_hash_pinned(self, obj):
         # Written defaults hash like absent ones; a change to the hash breaks
         # the comparison of reports with earlier runs.
-        assert parse_config(obj).config_hash() == "143a83ebae8a"
-        assert ExperimentConfig().config_hash() == "143a83ebae8a"
+        assert parse_config(obj).config_hash() == "7d3c20c2237c"
+        assert ExperimentConfig().config_hash() == "7d3c20c2237c"
 
     @pytest.mark.parametrize(
         "build",

@@ -366,6 +366,8 @@ class TestDesign:
             Design(features, (2,))
         with pytest.raises(DimensionMismatch):
             Design(features, (0,), (np.zeros(4),))
+        with pytest.raises(DimensionMismatch, match="2-D"):
+            Design(np.zeros(5), (0,))
 
     def test_nonfinite_entry_in_last_block_rejected(self):
         n = _fit_block_rows(1) + 3
