@@ -33,7 +33,6 @@ from .graph import (
 )
 from .instances import (
     HardInstanceSpec,
-    NoiseComparison,
     PassPredictor,
     generate_hard_instance,
     link_scale,
@@ -85,7 +84,6 @@ __all__ = [
     "LengthMismatch",
     "MissingParent",
     "NiaError",
-    "NoiseComparison",
     "NonFinite",
     "NotAPath",
     "NotConvergedWarning",

@@ -93,6 +93,8 @@ class VerifyConfig:
     n_protocol: int = 100_000
     n_decomposition: int = 100_000
     pinsker_trials: int = 10_000
+    # Sizes nothing: the noise suite is a closed form. Kept, parsed and
+    # range-checked so configs that set it still load and hash the same.
     noise_samples: int = 1_000_000
 
     def __post_init__(self) -> None:
@@ -185,9 +187,11 @@ def _section(cls, obj, where: str, base_dir: str):
             kwargs[f.name] = _resolve(kwargs[f.name], base_dir)
     try:
         return cls(**kwargs)
-    except InvalidConfig:
-        raise
     except (TypeError, ValueError) as exc:
+        # The sections defined here name their keys; FitOptions, which
+        # direct callers of fit_logistic build too, does not.
+        if isinstance(exc, InvalidConfig) and cls is not FitOptions:
+            raise
         raise InvalidConfig(f"invalid {where}: {exc}") from exc
 
 

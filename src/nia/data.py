@@ -10,8 +10,8 @@ from .errors import DimensionMismatch, NonFinite, NiaError
 
 
 # Bytes a streamed pass may hold per block: every pass over rows (the
-# finiteness check, the dataset and logit files, the generator, the noise
-# Monte Carlo, the fit) takes its rows from ``block_rows``.
+# finiteness check, the dataset and logit files, the generator and its
+# inverse CDF, the fit) takes its rows from ``block_rows``.
 BLOCK_BYTES = 1 << 20
 
 

@@ -38,7 +38,7 @@ C_RANGE_PASSES = (1, 2, 4, 8, 16, 64)
 COEFFICIENT_PASSES = (2, 3, 4, 5, 6)
 COEFFICIENT_SCALES = (0.3, 0.7, 1.0)
 NOISE_VARIANCE_PAIRS = ((0.0, 0.5), (0.5, 1.0), (1.0, 2.0))
-NOISE_SCALE = 0.8  # the logit scale c of the noise Monte Carlo
+NOISE_SCALE = 0.8  # the logit scale c of the noise-monotonicity losses
 
 # Pass thresholds of the verification suites.
 MOMENT_LIMIT = 1e-9  # largest residual moment of a converged agent
@@ -49,7 +49,7 @@ DECOMPOSITION_PERTURBATIONS = 20  # perturbed comparators of the decomposition c
 PINSKER_FLOOR = -1e-12  # smallest KL - 2 (p - q)^2 gap
 COEFFICIENT_LIMIT = 1e-9  # largest closed-form deviation
 SCALING_GRADIENT_LIMIT = 1e-10  # largest |loss derivative| at an optimal scale
-NOISE_MIN_MARGIN_SE = 3.0  # smallest loss increase, in standard errors
+NOISE_MIN_RISE = 1e-12  # smallest loss increase, far above the quadrature error
 
 
 def global_logistic_fit(dataset: Dataset, opts: FitOptions) -> FitResult:
@@ -332,27 +332,26 @@ def scaling_factor_suite() -> dict:
     )
 
 
-def noise_monotonicity_suite(n_mc: int, seed: int) -> dict:
+def noise_monotonicity_suite() -> dict:
     """Loss at logit scale ``NOISE_SCALE`` strictly increases with the noise
-    variance, with the paired Monte Carlo margin measured in standard errors.
-
-    Every pair shares one (Z, xi) stream, drawn and evaluated in row blocks
-    within ``nia.data.BLOCK_BYTES``, so memory does not grow with ``n_mc``."""
-    comparisons = noise_monotonicity_check(NOISE_SCALE, NOISE_VARIANCE_PAIRS, n_mc, seed)
+    variance: each pair of ``NOISE_VARIANCE_PAIRS`` must rise by more than
+    ``NOISE_MIN_RISE``. The losses are Gauss-Hermite sums, which agree with
+    adaptive quadrature to about 5e-16, so a rise above that bound is not
+    rule error, and a pair that does not rise fails."""
+    variances = sorted({v for pair in NOISE_VARIANCE_PAIRS for v in pair})
+    loss = dict(zip(variances, noise_monotonicity_check(NOISE_SCALE, variances)))
     pairs = [
         {
             "v_small": v_small,
             "v_large": v_large,
-            "loss_small": cmp.loss_small,
-            "loss_large": cmp.loss_large,
-            "margin_se": cmp.margin_se,
+            "loss_small": loss[v_small],
+            "loss_large": loss[v_large],
+            "rise": loss[v_large] - loss[v_small],
         }
-        for (v_small, v_large), cmp in zip(NOISE_VARIANCE_PAIRS, comparisons)
+        for v_small, v_large in NOISE_VARIANCE_PAIRS
     ]
-    worst = min(cmp.margin_se for cmp in comparisons)
-    return _suite(
-        worst > NOISE_MIN_MARGIN_SE, worst - NOISE_MIN_MARGIN_SE, NOISE_MIN_MARGIN_SE, pairs=pairs
-    )
+    worst = min(pair["rise"] for pair in pairs)
+    return _suite(worst > NOISE_MIN_RISE, worst - NOISE_MIN_RISE, NOISE_MIN_RISE, pairs=pairs)
 
 
 def verify_experiment(config: ExperimentConfig) -> dict:
@@ -381,7 +380,7 @@ def verify_experiment(config: ExperimentConfig) -> dict:
         "monotone_loss": monotone_loss,
         "coefficient_closed_form": coefficient_suite(),
         "scaling_factor_range": scaling_factor_suite(),
-        "noise_monotonicity": noise_monotonicity_suite(vc.noise_samples, vc.seed),
+        "noise_monotonicity": noise_monotonicity_suite(),
     }
     return {
         "config_hash": config.config_hash(),

@@ -5,7 +5,8 @@ differencing map (x_1 = Z_1, x_i = Z_i - Z_{i-1}), labels are Bernoulli of
 sigmoid(Z_k), and the optimal logit is the feature prefix sum Z_k. Analytics
 cover the per-pass relevance sets, the variance-minimizing pass-predictor
 coefficients, the n = inf logistic link scale and the optimal logit scaling
-factor it gives, and the 1/(p+1) excess-loss shape these imply.
+factor it gives, the 1/(p+1) excess-loss shape these imply, and the loss of
+a noisy logit that the lower bound's noise argument rests on.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from numpy.random import Generator, Philox
 
 from .data import Dataset, block_rows
 from .errors import InvalidDimension
-from .logistic import _libm, _softplus_exp, sigmoid
+from .logistic import _libm, sigmoid, stable_softplus
 
 QUADRATURE_NODES = 200
 
@@ -341,99 +342,23 @@ def optimal_scaling_factor(p: int) -> float:
     return r * link_scale(r)
 
 
-@dataclass(frozen=True)
-class NoiseComparison:
-    """Common-random-number Monte Carlo losses at two noise variances, with
-    the standard error of their paired difference."""
+def noise_monotonicity_check(c: float, variances) -> list[float]:
+    """BCE of the logit z = c Z + sqrt(v) xi at each noise variance v, with
+    labels Bernoulli(sigmoid(Z)) and Z, xi independent standard normals.
 
-    loss_small: float
-    loss_large: float
-    std_error: float
-
-    @property
-    def margin_se(self) -> float:
-        """Loss increase in units of its standard error."""
-        if self.std_error == 0.0:
-            return 0.0
-        return (self.loss_large - self.loss_small) / self.std_error
-
-
-def noise_monotonicity_check(
-    c: float,
-    pairs,
-    n_mc: int,
-    seed: int,
-) -> list[NoiseComparison]:
-    """Estimate the loss of z = c Z + xi at each (v_small, v_large) noise
-    variance pair with one shared (Z, xi) stream; one comparison per pair.
-
-    The per-sample loss is the label-conditional mean -sigmoid(Z) z
-    + softplus(z), so the only Monte Carlo noise comes from (Z, xi). Equal
-    variances give exactly equal losses; a larger variance gives a strictly
-    larger loss in expectation.
-
-    Z is ``Generator(Philox(key=seed)).standard_normal`` and xi the same on
-    ``Philox(key=seed).jumped()``, an independent stream 2**128 draws on.
-    Both are drawn and used in blocks of ``block_rows(7 + len(variances))``
-    rows (seven row buffers and a loss row per variance, allocated once; c Z
-    and sigmoid(Z) formed once per block), so memory does not grow with
-    n_mc. Block means and sums of squared deviations are merged with Chan,
-    Golub and LeVeque's pairwise rule; the per-sample losses are
-    those of a whole-array computation, and only the order of summation
-    differs, which moves the means and standard errors in their last bits.
-    """
+    z is N(0, c^2 + v) and xi is independent of the label, so the loss is
+    L(v) = E[softplus(sqrt(c^2 + v) G)] - c E[G sigmoid(G)], G ~ N(0, 1),
+    one ``gauss_hermite_expectation`` per variance and one for the label
+    term. L rises strictly with v, since
+    d/ds E[softplus(s G)] = s E[sigmoid'(s G)] > 0, and equal variances give
+    bitwise equal losses."""
     if not np.isfinite(c):
         raise InvalidDimension("scale c must be finite")
-    pairs = list(pairs)
-    if not pairs:
-        raise InvalidDimension("need at least one variance pair")
-    for v_small, v_large in pairs:
-        if not 0.0 <= v_small <= v_large:
-            raise InvalidDimension(f"need 0 <= v_small <= v_large, got {v_small}, {v_large}")
-    if n_mc < 2:
-        raise InvalidDimension("need at least two Monte Carlo samples")
-    variances = sorted({v for pair in pairs for v in pair})
-    index = {v: i for i, v in enumerate(variances)}
-    pair_index = [(index[a], index[b]) for a, b in pairs]
-    # Running means of the loss at each variance, then of each pair's paired
-    # difference; m2 (sums of squared deviations) is read for the differences.
-    mean = np.zeros(len(variances) + len(pairs))
-    m2 = np.zeros_like(mean)
-
-    z_rng = Generator(Philox(key=seed))
-    xi_rng = Generator(Philox(key=seed).jumped())
-    step = min(n_mc, block_rows(7 + len(variances)))
-    buf = np.empty((7 + len(variances), step))
-    for start in range(0, n_mc, step):
-        rows = min(step, n_mc - start)
-        z_lat, xi, cz, z, e, sp, work = buf[:7, :rows]
-        losses = buf[7:, :rows]
-        z_rng.standard_normal(out=z_lat)
-        xi_rng.standard_normal(out=xi)
-        np.multiply(z_lat, c, out=cz)
-        sig = sigmoid(z_lat)
-        for i, v in enumerate(variances):
-            np.add(cz, np.multiply(xi, np.sqrt(v), out=z), out=z)
-            _softplus_exp(z, e, sp, work)
-            # softplus(z) - sigmoid(Z) z, bitwise -sigmoid(Z) z + softplus(z).
-            np.subtract(sp, np.multiply(sig, z, out=work), out=losses[i])
-        b_mean = np.empty_like(mean)
-        b_m2 = np.zeros_like(m2)
-        b_mean[: len(variances)] = losses.mean(axis=1)
-        for r, (i, j) in enumerate(pair_index, start=len(variances)):
-            diff = np.subtract(losses[j], losses[i], out=work)
-            b_mean[r] = diff.mean()
-            diff -= b_mean[r]
-            b_m2[r] = np.square(diff, out=diff).sum()
-        # Merge this block's moments into those of the first ``start`` rows.
-        delta = b_mean - mean
-        mean += delta * (rows / (start + rows))
-        m2 += b_m2 + delta * delta * (start * rows / (start + rows))
-
-    se = np.sqrt(m2[len(variances):] / (n_mc - 1)) / np.sqrt(n_mc)
+    for v in variances:
+        if not 0.0 <= v < np.inf:
+            raise InvalidDimension(f"noise variance must be finite and >= 0, got {v}")
+    label_term = c * gauss_hermite_expectation(lambda g: g * sigmoid(g))
     return [
-        NoiseComparison(
-            loss_small=float(mean[i]), loss_large=float(mean[j]), std_error=float(s)
-        )
-        for (i, j), s in zip(pair_index, se)
+        gauss_hermite_expectation(stable_softplus, sd=np.sqrt(c * c + v)) - label_term
+        for v in variances
     ]

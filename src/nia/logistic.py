@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import block_rows
-from .errors import DimensionMismatch, LengthMismatch, NonFinite
+from .errors import DimensionMismatch, InvalidConfig, LengthMismatch, NonFinite
 
 # Fits whose weight norm passes this cap are reported unconverged; empirical
 # BCE has no finite minimizer on separable data.
@@ -109,9 +109,9 @@ class FitOptions:
 
     def __post_init__(self) -> None:
         if not 0 < self.grad_tol < np.inf:
-            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
+            raise InvalidConfig(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise InvalidConfig("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)

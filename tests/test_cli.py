@@ -25,7 +25,6 @@ FAST_VERIFY = {
     "n_protocol": 2000,
     "n_decomposition": 2000,
     "pinsker_trials": 500,
-    "noise_samples": 20_000,
 }
 
 

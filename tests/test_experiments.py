@@ -10,8 +10,10 @@ import nia.experiments
 from nia import HardInstanceSpec, InvalidConfig, generate_hard_instance, optimal_pass_coefficients
 from nia.config import parse_config
 from nia.experiments import (
+    NOISE_MIN_RISE,
     coefficient_suite,
     decomposition_suite,
+    noise_monotonicity_suite,
     run_experiment,
     scan_experiment,
     verify_experiment,
@@ -143,8 +145,27 @@ class TestCoefficientSuite:
         assert coefficient_suite()["passed"] is False
 
 
+class TestNoiseMonotonicitySuite:
+    def test_passes_with_every_pair_rising(self):
+        suite = noise_monotonicity_suite()
+        rises = [pair["rise"] for pair in suite["details"]["pairs"]]
+        assert suite["passed"] is True
+        assert suite["threshold"] == NOISE_MIN_RISE
+        assert suite["margin"] == min(rises) - NOISE_MIN_RISE
+        assert min(rises) > 0.04
+
+    @pytest.mark.parametrize("pair", [(0.5, 0.5), (1.0, 0.5)])
+    def test_fails_when_a_pair_does_not_rise(self, monkeypatch, pair):
+        pairs = ((0.0, 0.5), pair)
+        monkeypatch.setattr(nia.experiments, "NOISE_VARIANCE_PAIRS", pairs)
+        suite = noise_monotonicity_suite()
+        assert suite["passed"] is False
+        assert suite["margin"] < 0
+        assert [(p["v_small"], p["v_large"]) for p in suite["details"]["pairs"]] == list(pairs)
+
+
 class TestVerifyExperiment:
-    SIZES = {"k": 3, "depth": 4, "pinsker_trials": 100, "noise_samples": 1000}
+    SIZES = {"k": 3, "depth": 4, "pinsker_trials": 100}
 
     @pytest.mark.parametrize("n_decomposition, generated", [(2000, 1), (1500, 2)])
     def test_one_instance_when_sizes_match(self, monkeypatch, n_decomposition, generated):
@@ -165,6 +186,16 @@ class TestVerifyExperiment:
         separate = generate_hard_instance(HardInstanceSpec(k=3, n=n_decomposition, seed=1))
         assert report["suites"]["decomposition"] == decomposition_suite(separate, config)
 
+    def test_noise_suite_depends_on_no_verify_setting(self):
+        # A closed form: neither the seed nor noise_samples moves the entry.
+        entries = [
+            verify_experiment(parse_config({"verify": self.SIZES | {
+                "n_protocol": 500, "n_decomposition": 500, **extra,
+            }}))["suites"]["noise_monotonicity"]
+            for extra in ({}, {"seed": 9, "noise_samples": 2})
+        ]
+        assert entries[0] == entries[1] == noise_monotonicity_suite()
+
     def test_loosely_converged_fits_fail_orthogonality(self):
         # Every fit converges to grad_tol 1e-3, so its residual moments are
         # small but do not vanish, and the suite must fail it.
@@ -183,7 +214,7 @@ class TestVerifyExperiment:
         # 64 published columns (77 in all) of a run that keeps them.
         n, depth = 20_000, 64
         config = parse_config({"verify": self.SIZES | {
-            "k": 4, "depth": depth, "n_protocol": n, "n_decomposition": n, "noise_samples": 2,
+            "k": 4, "depth": depth, "n_protocol": n, "n_decomposition": n,
         }})
         tracemalloc.start()
         try:

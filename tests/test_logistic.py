@@ -12,6 +12,7 @@ from nia import (
     FitOptions,
     HardInstanceSpec,
     LengthMismatch,
+    NiaError,
     NonFinite,
     agent_design,
     bce_loss,
@@ -165,6 +166,21 @@ class TestGradient:
             numeric = _numeric_gradient(design, labels, theta)
             scale = max(1.0, float(np.max(np.abs(numeric))))
             assert np.max(np.abs(analytic - numeric)) / scale <= 1e-6
+
+
+class TestFitOptions:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"grad_tol": 0.0}, "grad_tol must be positive and finite"),
+            ({"grad_tol": float("inf")}, "grad_tol must be positive and finite"),
+            ({"grad_tol": float("nan")}, "grad_tol must be positive and finite"),
+            ({"max_iters": 0}, "max_iters must be >= 1"),
+        ],
+    )
+    def test_bad_termination_raises_nia_error(self, kwargs, message):
+        with pytest.raises(NiaError, match=message):
+            FitOptions(**kwargs)
 
 
 class TestFitLogistic:
