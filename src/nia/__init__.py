@@ -29,6 +29,7 @@ from .graph import (
     CoverageResult,
     build_agent_graph,
     check_m_coverage,
+    covering_window,
     cyclic_path_assignment,
 )
 from .instances import (
@@ -96,6 +97,7 @@ __all__ = [
     "build_agent_graph",
     "check_m_coverage",
     "convergence_bound_rhs",
+    "covering_window",
     "cyclic_path_assignment",
     "expected_kl_from_logits",
     "feature_second_moment_bound",

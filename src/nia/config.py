@@ -57,7 +57,6 @@ class InstanceConfig:
 class GraphConfig:
     cyclic_depth: int | None = None
     file: str | None = None
-    m: int | None = None
 
     def __post_init__(self) -> None:
         if (self.cyclic_depth is None) == (self.file is None):
@@ -66,20 +65,17 @@ class GraphConfig:
             raise InvalidConfig("graph.cyclic_depth must be >= 1")
         if self.file is not None and not os.path.exists(self.file):
             raise InvalidConfig(f"graph file not found: {self.file}")
-        if self.m is not None and self.m < 1:
-            raise InvalidConfig(f"graph.m must be >= 1, got {self.m}")
 
 
 @dataclass(frozen=True)
 class ScanConfig:
     depths: tuple[int, ...] = ()
-    windows: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.depths:
             raise InvalidConfig("scan needs a non-empty 'depths' grid")
-        if any(x < 1 for x in self.depths + self.windows):
-            raise InvalidConfig("scan grid values must be >= 1")
+        if any(x < 1 for x in self.depths):
+            raise InvalidConfig("scan depths must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import numpy as np
 from .config import ExperimentConfig, VerifyConfig
 from .data import Dataset
 from .errors import InvalidConfig
-from .graph import check_m_coverage, cyclic_path_assignment
+from .graph import check_m_coverage, covering_window, cyclic_path_assignment
 from .instances import (
     HardInstanceSpec,
     generate_hard_instance,
@@ -67,13 +67,18 @@ def run_experiment(
     The protocol run streams, so the trace keeps no column; ``publish`` is
     handed to ``run_protocol`` and sees each column as it is published.
 
-    A cyclic path runs over the dataset's ``d`` features with window M
-    defaulting to ``d``; a graph file's own ``d`` only bounds its feature
-    indices. Coverage of all ``d`` dataset features is evaluated only for
-    path graphs with a window M no longer than the path, and is reported as
-    None otherwise; when it fails (or is not applicable) the depth-bound
-    comparison is omitted from the report rather than computed on an
-    inapplicable graph.
+    A cyclic path runs over the dataset's ``d`` features; a graph file's own
+    ``d`` only bounds its feature indices. On a path graph the window M is
+    its ``covering_window`` for all ``d`` dataset features, and coverage is
+    checked at M, or at the path's length when no window covers. The
+    stable block and the bound ingredients (``theory``) are reported when
+    coverage holds, and None otherwise.
+
+    The labels are ``separable`` when the global fit's logits put every
+    label strictly on its own side; BCE then has no minimizer, so the global
+    fit is marked unconverged and the excess means nothing. Every agent's
+    design lies in the span of the features, so this one check stands for
+    every fit of the run.
     """
     inst, gc = config.instance, config.graph
     if gc is None:
@@ -87,19 +92,24 @@ def run_experiment(
     d = dataset.d
     if gc.cyclic_depth is not None:
         graph = cyclic_path_assignment(d, gc.cyclic_depth)
-        window = gc.m if gc.m is not None else d
     else:
-        graph, window = read_graph_file(gc.file)[0], gc.m
+        graph = read_graph_file(gc.file)[0]
     trace = run_protocol(dataset, graph, config.solver, publish=publish)
     gfit = global_logistic_fit(dataset, config.solver)
+    separable = bool(np.all((2.0 * dataset.labels - 1.0) * (dataset.features @ gfit.weights) > 0.0))
+    if separable:
+        message = "labels are linearly separable, so the loss has no minimizer"
+        gfit = replace(gfit, converged=False, message=message)
     excess = sink_excess_loss(trace, gfit)
     sink = trace.sink_id
 
     is_path = graph.is_path()
     depth = graph.num_agents
-    coverage = first_violation = block = theory = None
-    if is_path and window is not None and window <= depth:
-        coverage, first_violation = check_m_coverage(graph, window, d)
+    window = coverage = first_violation = block = theory = None
+    if is_path:
+        window = covering_window(graph, d)
+        coverage, first_violation = check_m_coverage(graph, window or depth, d)
+    if coverage:
         block = stable_block(trace.loss_path(), window)
         b_x = feature_second_moment_bound(dataset.features)
         epsilon = max(block.drop, 0.0)
@@ -110,9 +120,7 @@ def run_experiment(
             "depth": depth,
             "epsilon": epsilon,
             "rhs_residual_bound": residual_bound_rhs(gfit.l1_norm, b_x, window, epsilon),
-            "rhs_convergence_bound": (
-                convergence_bound_rhs(gfit.l1_norm, b_x, window, depth) if coverage else None
-            ),
+            "rhs_convergence_bound": convergence_bound_rhs(gfit.l1_norm, b_x, window, depth),
         }
 
     report = {
@@ -131,38 +139,40 @@ def run_experiment(
         "global_loss": gfit.loss,
         "excess": excess,
         "all_converged": trace.all_converged and gfit.converged,
+        "separable": separable,
         "stable_block": ({"index": block.index, "drop": block.drop} if block else None),
         "theory": theory,
     }
     return trace, report
 
 
-def _scan_grid(config: ExperimentConfig) -> list[tuple[int, int]]:
+def _scan_depths(config: ExperimentConfig) -> list[int]:
     sc = config.scan
     if sc is None:
         raise InvalidConfig("scan requires a 'scan' section")
-    windows = sc.windows or (config.instance.k,)
-    grid = [(depth, m) for depth in sorted(set(sc.depths)) for m in windows]
-    for depth, m in grid:
-        if m > depth:
-            raise InvalidConfig(f"scan window {m} exceeds depth {depth}")
-    return grid
+    k = config.instance.k
+    depths = sorted(set(sc.depths))
+    if depths[0] < k:
+        raise InvalidConfig(
+            f"scan depth {depths[0]} is below instance.k = {k}, the path's covering window"
+        )
+    return depths
 
 
 def _scan_seed_rows(
-    k: int, n: int, seed: int, grid: list[tuple[int, int]], opts: FitOptions, chash: str
+    k: int, n: int, seed: int, depths: list[int], opts: FitOptions, chash: str
 ) -> list[dict]:
     """All scan rows for one seed.
 
     The protocol trace of a cyclic path is prefix-stable (agent i's fit only
     sees its ancestors), so one run at the maximum depth yields the sink
-    losses of every shallower depth. The path repeats with period k, so a
-    window covers every prefix exactly when it covers the whole path; a row
-    whose window fails coverage gets no ``upper_bound``.
+    losses of every shallower depth. Every cyclic path of depth D >= k has
+    covering window M = k, the M of each row's ``upper_bound``.
     """
     base = {
         "config_hash": chash,
         "k": k,
+        "M": k,
         "seed": seed,
         "n": n,
         "error": None,
@@ -170,25 +180,21 @@ def _scan_seed_rows(
     try:
         dataset = generate_hard_instance(HardInstanceSpec(k=k, n=n, seed=seed))
         gfit = global_logistic_fit(dataset, opts)
-        path = cyclic_path_assignment(k, max(depth for depth, _ in grid))
-        covered = {m: check_m_coverage(path, m, k).ok for _, m in grid}
-        losses = run_protocol(dataset, path, opts).loss_path()
+        losses = run_protocol(dataset, cyclic_path_assignment(k, depths[-1]), opts).loss_path()
         b_x = feature_second_moment_bound(dataset.features)
         rows = []
-        for depth, m in grid:
+        for depth in depths:
             sink_loss = float(losses[depth - 1])
             p = depth / k
-            bound = convergence_bound_rhs(gfit.l1_norm, b_x, m, depth) if covered[m] else None
             rows.append(
                 base
                 | {
                     "D": depth,
-                    "M": m,
                     "p": int(p) if p.is_integer() else p,
                     "sink_loss": sink_loss,
                     "global_loss": gfit.loss,
                     "excess": sink_loss - gfit.loss,
-                    "upper_bound": bound,
+                    "upper_bound": convergence_bound_rhs(gfit.l1_norm, b_x, k, depth),
                     "lower_shape": 1.0 / (p + 1.0),
                 }
             )
@@ -196,18 +202,17 @@ def _scan_seed_rows(
     except Exception as exc:  # recorded per point, the scan itself continues
         error = f"{type(exc).__name__}: {exc}"
         return [
-            dict.fromkeys(SCAN_FIELDS) | base | {"D": depth, "M": m, "p": depth / k, "error": error}
-            for depth, m in grid
+            dict.fromkeys(SCAN_FIELDS) | base | {"D": depth, "p": depth / k, "error": error}
+            for depth in depths
         ]
 
 
 def scan_experiment(config: ExperimentConfig, threads: int = 1) -> list[dict]:
-    """Depth/pass scan: one row per (grid point, seed), ordered by
-    (depth, window, seed). Seeds run in ``threads`` worker processes when
-    ``threads`` > 1."""
+    """Depth/pass scan: one row per (depth, seed), ordered by (depth, seed).
+    Seeds run in ``threads`` worker processes when ``threads`` > 1."""
     if config.instance.kind != "hard":
         raise InvalidConfig("scan currently supports the generated instance only")
-    grid = _scan_grid(config)
+    depths = _scan_depths(config)
     k, n = config.instance.k, config.instance.n
     chash = config.config_hash()
     seeds = config.instance.seeds
@@ -217,14 +222,15 @@ def scan_experiment(config: ExperimentConfig, threads: int = 1) -> list[dict]:
             per_seed = list(
                 pool.map(
                     _scan_seed_rows,
-                    repeat(k), repeat(n), seeds, repeat(grid), repeat(config.solver), repeat(chash),
+                    repeat(k), repeat(n), seeds, repeat(depths),
+                    repeat(config.solver), repeat(chash),
                 )
             )
     else:
-        per_seed = [_scan_seed_rows(k, n, seed, grid, config.solver, chash) for seed in seeds]
+        per_seed = [_scan_seed_rows(k, n, seed, depths, config.solver, chash) for seed in seeds]
 
     rows = [row for rows_ in per_seed for row in rows_]
-    rows.sort(key=lambda r: (r["D"], r["M"], r["seed"]))
+    rows.sort(key=lambda r: (r["D"], r["seed"]))
     return rows
 
 

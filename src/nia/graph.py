@@ -158,6 +158,30 @@ def check_m_coverage(graph: AgentGraph, m: int, d: int) -> CoverageResult:
     return CoverageResult(True, None)
 
 
+def covering_window(graph: AgentGraph, d: int) -> int | None:
+    """The smallest window M that ``check_m_coverage`` accepts on the path,
+    the M of the depth bound; None when the whole path misses a feature.
+
+    Coverage is monotone in M (every window of M + 1 agents contains one of
+    M), so this bisects on ``check_m_coverage`` itself, after doubling the
+    window from 1 until it covers: a check costs about D·M set unions, so
+    the search costs what checks near the answer cost, not checks near D.
+    Raises NotAPath for non-path graphs.
+    """
+    lo = hi = 1
+    while not check_m_coverage(graph, hi, d).ok:
+        if hi == graph.num_agents:
+            return None
+        lo, hi = hi + 1, min(2 * hi, graph.num_agents)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if check_m_coverage(graph, mid, d).ok:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
 def cyclic_path_assignment(k: int, depth: int) -> AgentGraph:
     """Path of ``depth`` agents observing k features in repeating cyclic
     order: agent i holds the single feature ((i-1) mod k) + 1."""

@@ -145,22 +145,18 @@ def run_protocol(
 def sink_excess_loss(trace: ProtocolTrace, global_fit: FitResult) -> float:
     """Final-agent loss minus the all-features fit's loss.
 
-    Warns (NotConvergedWarning) when either side missed its gradient
-    tolerance; the value is then still returned. Since the global fit spans a
-    superset feature space, the result is bounded below by minus the solver
-    slack.
+    Warns (NotConvergedWarning), with the fit's message, when either side
+    is unconverged; the value is then still returned. Since the global fit
+    spans a superset feature space, the result is bounded below by minus the
+    solver slack.
     """
     sink = trace.sink_id
-    if not trace.models[sink].converged:
-        warnings.warn(
-            f"sink agent {sink} did not converge (grad_norm={trace.models[sink].grad_norm:.3g})",
-            NotConvergedWarning,
-            stacklevel=2,
-        )
-    if not global_fit.converged:
-        warnings.warn(
-            f"global fit did not converge (grad_norm={global_fit.grad_norm:.3g})",
-            NotConvergedWarning,
-            stacklevel=2,
-        )
+    for name, fit in ((f"sink agent {sink}", trace.models[sink]), ("global fit", global_fit)):
+        if not fit.converged:
+            warnings.warn(
+                f"{name} did not converge (grad_norm={fit.grad_norm:.3g})"
+                + (f": {fit.message}" if fit.message else ""),
+                NotConvergedWarning,
+                stacklevel=2,
+            )
     return trace.models[sink].loss - global_fit.loss

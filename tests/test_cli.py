@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nia.cli
 import nia.experiments
 import nia.protocol
 from nia.cli import main
@@ -118,6 +119,17 @@ class TestGenerate:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --threads 7" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # What numpy raises for n = 10**13; nothing is allocated here.
+        def no_memory(spec):
+            raise MemoryError("Unable to allocate 582. TiB for an array")
+
+        monkeypatch.setattr(nia.cli, "generate_hard_instance", no_memory)
+        cfg = _write_config(tmp_path, {"instance": {"k": 4, "n": 10**13}, "out_dir": "out"})
+        assert main(["generate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 582. TiB for an array\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestRun:
     def test_trace_and_report(self, tmp_path, capsys):
@@ -183,27 +195,28 @@ class TestRun:
         assert abs(report["excess"]) <= 1e-9
 
     def test_coverage_violation_omits_depth_bound(self, tmp_path):
-        # Feature 2 never appears in the first window of length 2.
+        # Feature 2 appears nowhere on the path, so no window covers.
         gpath = tmp_path / "g.json"
         gpath.write_text(json.dumps({
             "d": 2,
             "agents": [
                 {"id": 1, "features": [1], "parents": []},
                 {"id": 2, "features": [1], "parents": [1]},
-                {"id": 3, "features": [2], "parents": [2]},
+                {"id": 3, "features": [], "parents": [2]},
             ],
         }))
         cfg = _write_config(
             tmp_path,
             {"instance": {"kind": "hard", "k": 2, "n": 1000, "seeds": [1]},
-             "graph": {"file": "g.json", "m": 2},
+             "graph": {"file": "g.json"},
              "out_dir": "out"},
         )
         assert main(["run", "--config", cfg]) == 0
         report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+        assert report["m"] is None
         assert report["coverage"] is False
         assert report["coverage_first_violation"] == 1
-        assert report["theory"]["rhs_convergence_bound"] is None
+        assert report["theory"] is None
 
     def test_dataset_file_instance(self, tmp_path):
         gen_cfg = _write_config(
@@ -288,7 +301,7 @@ class TestRun:
 
     def test_cyclic_path_over_file_dataset_spans_its_features(self, tmp_path, capsys):
         # An 8-feature dataset file under the default instance.k of 4: the
-        # path covers all 8 features and the window defaults to 8.
+        # path covers all 8 features and its covering window is 8.
         gen_cfg = _write_config(
             tmp_path,
             {"instance": {"kind": "hard", "k": 8, "n": 2000, "seeds": [3]}, "out_dir": "data"},
@@ -308,7 +321,8 @@ class TestRun:
         # Covered, so the depth bound is reported.
         assert report["theory"]["rhs_convergence_bound"] is not None
 
-    def test_window_longer_than_path_reports_null_coverage(self, tmp_path, capsys):
+    def test_path_shorter_than_d_has_no_window(self, tmp_path, capsys):
+        # Three agents of a 4-feature cyclic path: feature 4 is never seen.
         cfg = _write_config(
             tmp_path,
             {"instance": {"kind": "hard", "k": 4, "n": 1000, "seeds": [1]},
@@ -317,27 +331,12 @@ class TestRun:
         )
         assert main(["run", "--config", cfg]) == 0
         report = json.loads((tmp_path / "out" / "run_report.json").read_text())
-        assert report["m"] == 4
-        assert report["coverage"] is None
-        assert report["coverage_first_violation"] is None
+        assert report["m"] is None
+        assert report["coverage"] is False
+        assert report["coverage_first_violation"] == 1
         assert report["stable_block"] is None
         assert report["theory"] is None
-        assert "coverage=None" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("m", [0, -2])
-    def test_window_below_one_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch, m):
-        fits = []
-        fit = nia.protocol.fit_logistic
-        monkeypatch.setattr(nia.protocol, "fit_logistic", lambda *a: fits.append(1) or fit(*a))
-        cfg = _write_config(
-            tmp_path,
-            {"instance": {"kind": "hard", "k": 2, "n": 100, "seeds": [1]},
-             "graph": {"cyclic_depth": 3, "m": m},
-             "out_dir": "out"},
-        )
-        assert main(["run", "--config", cfg]) == 2
-        assert "graph.m must be >= 1" in capsys.readouterr().err
-        assert fits == []
+        assert "coverage=False" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "d, second_agent, message",
@@ -519,13 +518,16 @@ class TestScan:
                 assert all(row[f] != "" for f in numeric)
 
     def test_window_exceeding_depth_rejected(self, tmp_path, capsys):
+        # The covering window M = k = 4 is longer than a depth-2 path.
         cfg = _write_config(
             tmp_path,
-            {"instance": {"kind": "hard", "k": 2, "n": 100, "seeds": [1]},
-             "scan": {"depths": [2], "windows": [4]},
+            {"instance": {"kind": "hard", "k": 4, "n": 100, "seeds": [1]},
+             "scan": {"depths": [2, 4]},
              "out_dir": "out"},
         )
         assert main(["scan", "--config", cfg]) == 2
+        assert "scan depth 2 is below instance.k = 4" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestVerify:

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import nia.experiments
-from nia import HardInstanceSpec, InvalidConfig, generate_hard_instance, optimal_pass_coefficients
+from nia import (
+    HardInstanceSpec,
+    InvalidConfig,
+    NotConvergedWarning,
+    generate_hard_instance,
+    optimal_pass_coefficients,
+)
 from nia.config import parse_config
 from nia.experiments import (
     NOISE_MIN_RISE,
@@ -50,27 +56,31 @@ class TestRunExperiment:
         # The merging agent spans all features, so its excess is tiny.
         assert abs(report["excess"]) <= 1e-9
 
-    def test_path_without_window_skips_coverage(self, tmp_path):
-        gpath = _graph_file(tmp_path, {
-            "d": 2,
-            "agents": [
-                {"id": 1, "features": [1], "parents": []},
-                {"id": 2, "features": [2], "parents": [1]},
-            ],
-        })
+    def test_file_path_reports_covering_window_and_theory(self, tmp_path):
+        # The benchmark's windowed path at its size (k = 8, n = 4e5): 24
+        # agents observing the next 1, 3 and 5 features in turn, then a
+        # featureless sink. Any 3 consecutive agents see 8 or 9 features.
+        agents, first = [], 0
+        for i in range(24):
+            size = (1, 3, 5)[i % 3]
+            agents.append({"id": i + 1, "features": sorted((first + j) % 8 + 1 for j in range(size)),
+                           "parents": [i] if i else []})
+            first += size
+        agents.append({"id": 25, "features": [], "parents": [24]})
         config = parse_config({
-            "instance": {"kind": "hard", "k": 2, "n": 1000, "seeds": [1]},
-            "graph": {"file": gpath},
+            "instance": {"kind": "hard", "k": 8, "n": 400_000, "seeds": [1]},
+            "graph": {"file": _graph_file(tmp_path, {"d": 8, "agents": agents})},
         })
         _, report = run_experiment(config)
-        assert report["is_path"] is True
-        assert report["m"] is None
-        assert report["coverage"] is None
-        assert report["theory"] is None
+        assert (report["m"], report["coverage"], report["coverage_first_violation"]) == (3, True, None)
+        assert (report["theory"]["m"], report["theory"]["depth"]) == (3, 25)
+        assert report["theory"]["rhs_convergence_bound"] is not None
+        assert report["separable"] is False
+        assert report["all_converged"] is True
 
     def test_coverage_checked_against_dataset_features(self, tmp_path):
         # The file declares d = 2, but the dataset has k = 4 features, and
-        # no agent observes features 3 and 4.
+        # no agent observes features 3 and 4: no window covers.
         gpath = _graph_file(tmp_path, {
             "d": 2,
             "agents": [
@@ -80,14 +90,28 @@ class TestRunExperiment:
         })
         config = parse_config({
             "instance": {"kind": "hard", "k": 4, "n": 1000, "seeds": [1]},
-            "graph": {"file": gpath, "m": 2},
+            "graph": {"file": gpath},
         })
         _, report = run_experiment(config)
         assert report["d"] == 4
+        assert report["m"] is None
         assert report["coverage"] is False
         assert report["coverage_first_violation"] == 1
-        assert report["theory"]["rhs_convergence_bound"] is None
-        assert report["theory"]["rhs_residual_bound"] is not None
+        assert report["stable_block"] is None
+        assert report["theory"] is None
+
+    def test_separable_labels_mark_global_fit_unconverged(self):
+        # n = 20: the all-features fit drives its loss to 3.5e-10, so BCE has
+        # no minimizer and the excess means nothing.
+        config = parse_config({
+            "instance": {"kind": "hard", "k": 4, "n": 20, "seeds": [4]},
+            "graph": {"cyclic_depth": 8},
+        })
+        with pytest.warns(NotConvergedWarning, match="labels are linearly separable"):
+            _, report = run_experiment(config)
+        assert report["separable"] is True
+        assert report["all_converged"] is False
+        assert report["global_loss"] < 1e-9
 
     def test_run_requires_graph(self):
         config = parse_config({"instance": {"kind": "hard", "k": 2, "n": 100}})
@@ -96,26 +120,24 @@ class TestRunExperiment:
 
 
 class TestScanExperiment:
-    def test_multiple_windows_multiply_rows(self):
+    def test_one_row_per_depth_and_seed(self):
         config = parse_config({
-            "instance": {"kind": "hard", "k": 2, "n": 500, "seeds": [1]},
-            "scan": {"depths": [4], "windows": [2, 4]},
+            "instance": {"kind": "hard", "k": 2, "n": 500, "seeds": [2, 1]},
+            "scan": {"depths": [8, 2, 8]},
         })
         rows = scan_experiment(config)
-        assert [(r["D"], r["M"]) for r in rows] == [(4, 2), (4, 4)]
-        # The bound column scales linearly in the window.
-        assert rows[1]["upper_bound"] == pytest.approx(2 * rows[0]["upper_bound"], rel=1e-12)
+        assert [(r["D"], r["seed"]) for r in rows] == [(2, 1), (2, 2), (8, 1), (8, 2)]
+        # M is the path's covering window k, and the bound falls as 1/sqrt(D).
+        assert all(r["M"] == 2 and r["error"] is None for r in rows)
+        assert rows[2]["upper_bound"] == pytest.approx(rows[0]["upper_bound"] / 2, rel=1e-12)
 
-    def test_uncovered_window_has_no_upper_bound(self):
-        # On the k = 4 cyclic path a window of 2 agents sees 2 of 4 features.
+    def test_depth_below_k_rejected(self):
         config = parse_config({
             "instance": {"kind": "hard", "k": 4, "n": 500, "seeds": [1]},
-            "scan": {"depths": [4, 8], "windows": [2, 4]},
+            "scan": {"depths": [8, 2]},
         })
-        rows = scan_experiment(config)
-        assert [(r["D"], r["M"]) for r in rows] == [(4, 2), (4, 4), (8, 2), (8, 4)]
-        assert [r["upper_bound"] is None for r in rows] == [True, False, True, False]
-        assert all(r["error"] is None for r in rows)
+        with pytest.raises(InvalidConfig, match=r"scan depth 2 is below instance.k = 4"):
+            scan_experiment(config)
 
     def test_file_instance_rejected(self, tmp_path):
         data = tmp_path / "d.nia"

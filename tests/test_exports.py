@@ -1,8 +1,13 @@
-"""The package's export list names exactly what it binds."""
+"""The package's export list names exactly what it binds, and the README's
+example runs as written."""
 
+import re
 import types
+from pathlib import Path
 
 import nia
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_matches_public_names():
@@ -13,3 +18,9 @@ def test_all_matches_public_names():
     }
     assert len(nia.__all__) == len(set(nia.__all__))
     assert set(nia.__all__) == bound
+
+
+def test_readme_python_block_runs(capsys):
+    (block,) = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.S | re.M)
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out.startswith("excess loss: ")

@@ -11,6 +11,7 @@ from nia import (
     NotAPath,
     build_agent_graph,
     check_m_coverage,
+    covering_window,
     cyclic_path_assignment,
 )
 
@@ -182,6 +183,48 @@ class TestCheckMCoverage:
             # Once covered at m, every larger window stays covered.
             for a, b in zip(results, results[1:]):
                 assert b or not a
+
+
+class TestCoveringWindow:
+    def test_against_brute_force(self):
+        # Oracle: the smallest m whose every window of consecutive agents
+        # sees all d features, by explicit enumeration. Feature sets may be
+        # empty, and some paths miss a feature altogether.
+        rng = np.random.default_rng(11)
+        uncovered = 0
+        for _ in range(300):
+            depth, d = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+            sets = [
+                {int(x) for x in rng.integers(1, d + 1, size=int(rng.integers(0, 3)))}
+                for _ in range(depth)
+            ]
+            g = build_agent_graph([(i, i + 1) for i in range(1, depth)], sets, d=d)
+            expect = next(
+                (
+                    m
+                    for m in range(1, depth + 1)
+                    if all(
+                        set().union(*sets[start : start + m]) == set(range(1, d + 1))
+                        for start in range(depth - m + 1)
+                    )
+                ),
+                None,
+            )
+            uncovered += expect is None
+            assert covering_window(g, d) == expect
+        assert 0 < uncovered < 300
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_cyclic_path_window_is_k(self, k):
+        # The scan reports M = k for every depth it accepts on this identity.
+        for depth in range(1, 3 * k + 2):
+            expect = k if depth >= k else None
+            assert covering_window(cyclic_path_assignment(k, depth), k) == expect
+
+    def test_non_path_rejected(self):
+        g = build_agent_graph([(1, 3), (2, 3)], [{1}, {2}, set()], d=2)
+        with pytest.raises(NotAPath):
+            covering_window(g, 2)
 
 
 class TestCyclicPathAssignment:

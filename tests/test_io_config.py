@@ -312,10 +312,11 @@ class TestConfig:
     @pytest.mark.parametrize(
         "section, key",
         [("verify", "decomposition_grad_tol"), ("verify", "decomposition_perturbations"),
-         ("verify", "noise_scale"), ("scan", "passes")],
+         ("verify", "noise_scale"), ("scan", "passes"), ("graph", "m"), ("scan", "windows")],
     )
     def test_removed_key_is_unknown(self, section, key):
-        # Constants of the verify suites now, and a second spelling of scan.depths.
+        # Constants of the verify suites now, a second spelling of
+        # scan.depths, and windows read off the path by covering_window.
         with pytest.raises(InvalidConfig) as info:
             parse_config({section: {key: 1}})
         assert str(info.value) == f"unknown key(s) in {section}: ['{key}']"
@@ -324,9 +325,9 @@ class TestConfig:
         # Every config value callers may set; a new key is an edit here.
         listed = {
             "instance.kind", "instance.k", "instance.n", "instance.seeds", "instance.dataset",
-            "graph.cyclic_depth", "graph.file", "graph.m",
+            "graph.cyclic_depth", "graph.file",
             "solver.grad_tol", "solver.max_iters",
-            "scan.depths", "scan.windows",
+            "scan.depths",
             "verify.seed", "verify.k", "verify.depth", "verify.n_protocol",
             "verify.n_decomposition", "verify.pinsker_trials", "verify.noise_samples",
             "out_dir", "dump_logits",
@@ -343,7 +344,7 @@ class TestConfig:
                 else:
                     yield prefix + f.name
 
-        assert len(listed) == 21
+        assert len(listed) == 19
         assert set(keys(ExperimentConfig)) == listed
 
     def test_k_below_two_rejected(self):
