@@ -109,8 +109,10 @@ def cmd_run(config: ExperimentConfig) -> int:
         f"sink_loss={rep['sink_loss']:.6g} global_loss={rep['global_loss']:.6g} "
         f"excess={rep['excess']:.6g} coverage={rep['coverage']}"
     )
-    theory = rep.get("theory")
-    if theory and theory.get("rhs_convergence_bound") is not None:
+    theory = rep["theory"]
+    if rep["separable"]:
+        print("labels are linearly separable: no bound check is made")
+    elif theory:
         bound = theory["rhs_convergence_bound"]
         status = "within" if rep["excess"] <= bound else "VIOLATES"
         print(f"depth bound {bound:.6g}: excess {status} bound")

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import ExperimentConfig, VerifyConfig
 from .data import Dataset
-from .errors import InvalidConfig
+from .errors import InvalidConfig, NiaError
 from .graph import check_m_coverage, covering_window, cyclic_path_assignment
 from .instances import (
     HardInstanceSpec,
@@ -23,7 +23,7 @@ from .instances import (
     scaling_gradient,
 )
 from .io import SCAN_FIELDS, read_dataset_file, read_graph_file
-from .logistic import FitOptions, FitResult, fit_logistic
+from .logistic import SEPARABLE, FitOptions, FitResult, fit_logistic
 from .metrics import (
     bernoulli_kl_pointwise,
     convergence_bound_rhs,
@@ -74,11 +74,10 @@ def run_experiment(
     stable block and the bound ingredients (``theory``) are reported when
     coverage holds, and None otherwise.
 
-    The labels are ``separable`` when the global fit's logits put every
-    label strictly on its own side; BCE then has no minimizer, so the global
-    fit is marked unconverged and the excess means nothing. Every agent's
-    design lies in the span of the features, so this one check stands for
-    every fit of the run.
+    The labels are ``separable`` when the global fit stops with
+    ``SEPARABLE``: BCE then has no minimizer, the fit is unconverged and the
+    excess means nothing. Every agent's design lies in the span of the
+    features, so this one verdict stands for every fit of the run.
     """
     inst, gc = config.instance, config.graph
     if gc is None:
@@ -96,10 +95,7 @@ def run_experiment(
         graph = read_graph_file(gc.file)[0]
     trace = run_protocol(dataset, graph, config.solver, publish=publish)
     gfit = global_logistic_fit(dataset, config.solver)
-    separable = bool(np.all((2.0 * dataset.labels - 1.0) * (dataset.features @ gfit.weights) > 0.0))
-    if separable:
-        message = "labels are linearly separable, so the loss has no minimizer"
-        gfit = replace(gfit, converged=False, message=message)
+    separable = gfit.message == SEPARABLE
     excess = sink_excess_loss(trace, gfit)
     sink = trace.sink_id
 
@@ -167,7 +163,8 @@ def _scan_seed_rows(
     The protocol trace of a cyclic path is prefix-stable (agent i's fit only
     sees its ancestors), so one run at the maximum depth yields the sink
     losses of every shallower depth. Every cyclic path of depth D >= k has
-    covering window M = k, the M of each row's ``upper_bound``.
+    covering window M = k, the M of each row's ``upper_bound``. A seed whose
+    labels are separable has no excess: its rows carry that in ``error``.
     """
     base = {
         "config_hash": chash,
@@ -180,6 +177,8 @@ def _scan_seed_rows(
     try:
         dataset = generate_hard_instance(HardInstanceSpec(k=k, n=n, seed=seed))
         gfit = global_logistic_fit(dataset, opts)
+        if gfit.message == SEPARABLE:
+            raise NiaError(SEPARABLE)
         losses = run_protocol(dataset, cyclic_path_assignment(k, depths[-1]), opts).loss_path()
         b_x = feature_second_moment_bound(dataset.features)
         rows = []

@@ -22,9 +22,8 @@ import numpy as np
 from .data import block_rows
 from .errors import DimensionMismatch, InvalidConfig, LengthMismatch, NonFinite
 
-# Fits whose weight norm passes this cap are reported unconverged; empirical
-# BCE has no finite minimizer on separable data.
-WEIGHT_NORM_CAP = 1e4
+# The message of a fit stopped because its labels are separable.
+SEPARABLE = "labels are linearly separable, so the loss has no minimizer"
 
 # The line search tries step lengths 1, 1/2, 1/4, ... down to _MIN_STEP.
 _ARMIJO_C1 = 1e-4
@@ -237,6 +236,11 @@ def fit_logistic(
     ``start`` that is already optimal returns with zero iterations. A
     zero-column design converges immediately at the log(2) baseline.
 
+    A fit whose mean loss falls below log(2) / (2n), at its start too, stops
+    unconverged with the message ``SEPARABLE``, whatever its gradient and
+    the design's scale: its logits then separate the labels, and BCE has no
+    minimizer.
+
     Every step is the minimum-norm one because design columns can be
     collinear: in a multi-parent DAG a parent's logit column can be an exact
     linear combination of the agent's own features, which makes H singular.
@@ -362,11 +366,14 @@ def fit_logistic(
     converged, message = False, "max_iters reached"
     for it in range(opts.max_iters + 1):
         grad_norm = float(np.max(np.abs(grad), initial=0.0))
+        # A row on the wrong side of the boundary, or on it, costs at least
+        # log 2 by itself, so a total loss below that puts every label
+        # strictly on its own side; half of log 2 leaves room for rounding.
+        if loss * n < 0.5 * np.log(2.0):
+            message = SEPARABLE
+            break
         if grad_norm <= opts.grad_tol:
             converged, message = True, ""
-            break
-        if float(np.linalg.norm(theta)) > WEIGHT_NORM_CAP:
-            message = f"weight norm exceeded {WEIGHT_NORM_CAP:g}; data may be separable"
             break
         if it == opts.max_iters:
             break

@@ -17,7 +17,7 @@ import nia.cli
 import nia.experiments
 import nia.protocol
 from nia.cli import main
-from nia.errors import NiaError
+from nia.errors import NiaError, NotConvergedWarning
 
 FAST_VERIFY = {
     "seed": 1,
@@ -150,6 +150,24 @@ class TestRun:
         assert report["excess"] >= -1e-9
         assert report["theory"]["rhs_convergence_bound"] is not None
         assert report["stable_block"]["index"] >= 1
+
+    def test_separable_labels_print_no_bound_verdict(self, tmp_path, capsys):
+        # k = 4, n = 20, seed 4 has separable labels: the excess means
+        # nothing, so no bound is checked against it.
+        cfg = _write_config(
+            tmp_path,
+            {"instance": {"kind": "hard", "k": 4, "n": 20, "seeds": [4]},
+             "graph": {"cyclic_depth": 8},
+             "out_dir": "out"},
+        )
+        with pytest.warns(NotConvergedWarning):
+            assert main(["run", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "depth bound" not in out
+        assert "labels are linearly separable: no bound check is made" in out
+        report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+        assert report["separable"] is True
+        assert report["all_converged"] is False
 
     def test_infinite_grad_tol_literal_exits_2(self, tmp_path, capsys):
         # Python's json reads the Infinity literal; a fit with that tolerance

@@ -1,6 +1,7 @@
 """Experiment drivers: run reports and scan grids beyond the CLI round trips."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from nia.experiments import (
     verify_experiment,
 )
 from nia.instances import PassPredictor
+from nia.logistic import SEPARABLE
 
 
 def _graph_file(tmp_path, obj):
@@ -101,7 +103,7 @@ class TestRunExperiment:
         assert report["theory"] is None
 
     def test_separable_labels_mark_global_fit_unconverged(self):
-        # n = 20: the all-features fit drives its loss to 3.5e-10, so BCE has
+        # n = 20: the all-features fit falls below the loss floor, so BCE has
         # no minimizer and the excess means nothing.
         config = parse_config({
             "instance": {"kind": "hard", "k": 4, "n": 20, "seeds": [4]},
@@ -111,7 +113,7 @@ class TestRunExperiment:
             _, report = run_experiment(config)
         assert report["separable"] is True
         assert report["all_converged"] is False
-        assert report["global_loss"] < 1e-9
+        assert report["global_loss"] * 20 < math.log(2.0)
 
     def test_run_requires_graph(self):
         config = parse_config({"instance": {"kind": "hard", "k": 2, "n": 100}})
@@ -130,6 +132,22 @@ class TestScanExperiment:
         # M is the path's covering window k, and the bound falls as 1/sqrt(D).
         assert all(r["M"] == 2 and r["error"] is None for r in rows)
         assert rows[2]["upper_bound"] == pytest.approx(rows[0]["upper_bound"] / 2, rel=1e-12)
+
+    def test_separable_seed_rows_carry_an_error(self):
+        # Seed 4's labels are separable at n = 20, seed 1's are not.
+        config = parse_config({
+            "instance": {"kind": "hard", "k": 4, "n": 20, "seeds": [1, 4]},
+            "scan": {"depths": [4, 8]},
+        })
+        rows = scan_experiment(config)
+        assert [(r["D"], r["seed"]) for r in rows] == [(4, 1), (4, 4), (8, 1), (8, 4)]
+        for row in rows:
+            if row["seed"] == 1:
+                assert row["error"] is None
+                assert row["excess"] is not None
+            else:
+                assert row["error"] == f"NiaError: {SEPARABLE}"
+                assert row["excess"] is None and row["global_loss"] is None
 
     def test_depth_below_k_rejected(self):
         config = parse_config({

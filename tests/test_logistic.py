@@ -26,7 +26,7 @@ from nia import (
 )
 import nia.data
 import nia.logistic
-from nia.logistic import FitCarry
+from nia.logistic import SEPARABLE, FitCarry
 
 LOG2 = math.log(2.0)
 
@@ -221,12 +221,14 @@ class TestFitLogistic:
         assert np.max(np.abs(fit.weights - ref.x)) <= 1e-5
 
     def test_balanced_sign_column(self):
-        rng = np.random.default_rng(11)
+        # The column 2y - 1 separates the labels, so the fit stops at the
+        # loss floor instead of running its weight off to infinity.
         labels = np.tile([0.0, 1.0], 500)
         col = 2.0 * labels - 1.0
         fit = fit_logistic(col[:, None], labels)
-        assert fit.converged
-        assert fit.grad_norm <= 1e-10
+        assert not fit.converged
+        assert fit.message == SEPARABLE
+        assert fit.loss * labels.size < LOG2
         assert fit.weights[0] > 0
 
     def test_recovers_generator_parameter(self):
@@ -259,19 +261,75 @@ class TestFitLogistic:
         assert full.loss <= grown.loss + slack
 
     def test_separable_data_never_crashes(self):
-        # With O(1) features the gradient dies before the weight cap, so the
-        # stop rule reports convergence at a near-zero-loss interior point.
+        # The gradient would die on its way to infinite weights; the loss
+        # floor stops the fit first and reports it unconverged.
         design = np.array([[1.0], [2.0], [-1.0], [-2.0]])
         labels = np.array([1.0, 1.0, 0.0, 0.0])
         fit = fit_logistic(design, labels, FitOptions(max_iters=200))
-        assert fit.loss <= 1e-9
-
-    def test_separable_tiny_scale_hits_weight_cap(self):
-        design = np.array([[1e-6], [2e-6], [-1e-6], [-2e-6]])
-        labels = np.array([1.0, 1.0, 0.0, 0.0])
-        fit = fit_logistic(design, labels, FitOptions(max_iters=500))
         assert not fit.converged
-        assert "norm" in fit.message
+        assert fit.message == SEPARABLE
+        assert fit.loss * 4 < LOG2
+
+    def test_separable_verdict_does_not_depend_on_scale(self):
+        labels = np.array([1.0, 1.0, 0.0, 0.0])
+        for scale in (1.0, 1e-3, 1e-6):
+            design = scale * np.array([[1.0], [2.0], [-1.0], [-2.0]])
+            fit = fit_logistic(design, labels, FitOptions(max_iters=500))
+            assert not fit.converged
+            assert fit.message == SEPARABLE
+            assert fit.loss * 4 < LOG2
+
+    def test_start_below_the_floor_stops_at_once(self):
+        # A child started at pass-through of a parent that separates the
+        # labels stops before its first step.
+        labels = np.array([1.0, 1.0, 0.0, 0.0])
+        parent = fit_logistic(np.array([[1.0], [2.0], [-1.0], [-2.0]]), labels)
+        logits = np.array([[1.0], [2.0], [-1.0], [-2.0]]) @ parent.weights
+        design = Design(np.array([[0.5], [-1.0], [2.0], [0.0]]), (0,), (logits,))
+        fit = fit_logistic(design, labels, start=[0.0, 1.0])
+        assert (fit.iterations, fit.converged, fit.message) == (0, False, SEPARABLE)
+        assert fit.loss == parent.loss
+
+    def test_small_features_are_not_separable(self):
+        # Labels drawn from a logistic model on 2 normal columns are not
+        # separable at n = 5000 at any scale of the design. The gradient
+        # scales with the design, so a tolerance scaled with it stops every
+        # fit at the same Newton iterate.
+        rng = np.random.default_rng(3)
+        n = 5000
+        x = rng.normal(size=(n, 2))
+        labels = (rng.random(n) < sigmoid(x @ np.array([1.5, -0.5]))).astype(float)
+        scaled = []
+        for scale in (1.0, 1e-4, 1e-6):
+            assert fit_logistic(scale * x, labels).converged
+            fit = fit_logistic(scale * x, labels, FitOptions(grad_tol=1e-10 * scale))
+            assert fit.converged
+            scaled.append(fit.weights * scale)
+        assert np.max(np.abs(np.array(scaled) - scaled[0])) <= 1e-9
+
+    def test_one_row_at_the_baseline_is_not_separable(self):
+        # A single row at logit 0 sits on the boundary: its loss is exactly
+        # log 2, which the separability floor does not flag.
+        fit = fit_logistic(np.empty((1, 0)), np.array([1.0]))
+        assert fit.converged
+        assert fit.loss == LOG2
+
+    def test_separable_exactly_when_the_logits_separate(self):
+        # The loss floor certifies what the returned logits show: it fires
+        # exactly when they put every label strictly on its own side, and
+        # every other fit converges.
+        flagged = 0
+        for k in (2, 4):
+            for n in range(1, 41):
+                for seed in range(1, 11):
+                    ds = generate_hard_instance(HardInstanceSpec(k=k, n=n, seed=seed))
+                    fit = fit_logistic(ds.features, ds.labels)
+                    margins = (2.0 * ds.labels - 1.0) * (ds.features @ fit.weights)
+                    separated = bool(np.all(margins > 0.0))
+                    assert (fit.message == SEPARABLE) == separated, (k, n, seed)
+                    assert separated or fit.converged, (k, n, seed)
+                    flagged += separated
+        assert 0 < flagged < 800
 
     def test_intercept_flag(self):
         # There is no intercept option: a bias is the weight of a ones column.
