@@ -187,10 +187,11 @@ def generate_hard_instance(spec: HardInstanceSpec) -> Dataset:
     Draw order is fixed (first the n x k latent block Z, row by row, then n
     label uniforms) on a Philox stream keyed by the seed, so bytes are
     reproducible from (seed, k, n) across platforms. Z is drawn in row
-    blocks, which give the same values, into a column-major array and
-    differenced into the features in place, so only the features and labels
-    are returned; the latents are ``standard_normals`` of the stream's first
-    n x k uniforms.
+    blocks, which give the same values, into a column-major array; the
+    labels are formed from its last column one row block at a time, and Z is
+    then differenced into the features in place, so only the features and
+    labels are returned; the latents are ``standard_normals`` of the
+    stream's first n x k uniforms.
     """
     rng = Generator(Philox(key=spec.seed))
     features = np.empty((spec.n, spec.k), order="F")
@@ -198,13 +199,15 @@ def generate_hard_instance(spec: HardInstanceSpec) -> Dataset:
     for start in range(0, spec.n, rows):
         block = features[start : start + rows]
         block[...] = standard_normals(rng, block.shape)
-    prob = sigmoid(features[:, -1])
+    # 0.0/1.0 labels, written over the uniforms they come from, one row
+    # block of sigmoid(Z_k) at a time.
+    labels = _uniform_open(rng, spec.n)
+    for start in range(0, spec.n, rows):
+        b = slice(start, start + rows)
+        np.less(labels[b], sigmoid(features[b, -1]), out=labels[b])
     # Last column first, so each difference still reads Z_{i-1}.
     for i in range(spec.k - 1, 0, -1):
         features[:, i] -= features[:, i - 1]
-    u = _uniform_open(rng, spec.n)
-    # 0.0/1.0 labels, written over the uniforms they come from.
-    labels = np.less(u, prob, out=u)
     return Dataset(features=features, labels=labels)
 
 

@@ -30,6 +30,10 @@ _ARMIJO_C1 = 1e-4
 _STEP_SHRINK = 0.5
 _MIN_STEP = 1e-12
 
+# Rows per partial sum of a mean over rows (``_ChunkedMean``); a power of two,
+# so every power-of-two row block at least this long holds whole chunks.
+_CHUNK = 256
+
 
 def _libm(ufunc: np.ufunc, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """np.log or np.log1p of ``a`` by the C library, as a reversed view of
@@ -78,15 +82,46 @@ def sigmoid(z):
     return out if out.ndim else float(out)
 
 
+class _ChunkedMean:
+    """The mean of n rows that arrive in blocks, formed as the sum of the
+    sums of consecutive ``_CHUNK``-row chunks; each chunk sum is bitwise
+    ``np.add.reduce`` of its chunk, and a short last chunk is summed alone.
+    Every mean of loss or KL rows in this package is one, so it does not
+    depend on how a pass splits the rows into blocks, and no pass needs a
+    full-length array of rows to sum."""
+
+    def __init__(self, n: int) -> None:
+        self.n, self.sums = n, np.empty(-(-n // _CHUNK))
+
+    def add(self, rows: np.ndarray, start: int) -> None:
+        """Take the contiguous row block ``rows``, rows ``start`` (a
+        multiple of ``_CHUNK``) onwards of the whole."""
+        i, full = start // _CHUNK, len(rows) - len(rows) % _CHUNK
+        k = full // _CHUNK
+        np.add.reduce(rows[:full].reshape(k, _CHUNK), axis=1, out=self.sums[i : i + k])
+        if full < len(rows):
+            self.sums[i + k] = np.add.reduce(rows[full:])
+
+    def mean(self) -> float:
+        return float(np.add.reduce(self.sums) / self.n)
+
+
 def bce_loss(logits, labels) -> float:
-    """Mean binary cross-entropy: (1/n) sum softplus(z_i) - y_i z_i."""
+    """Mean binary cross-entropy: (1/n) sum softplus(z_i) - y_i z_i, a
+    ``_ChunkedMean`` of rows formed one row block at a time."""
     z = np.asarray(logits, dtype=np.float64).ravel()
     y = np.asarray(labels, dtype=np.float64).ravel()
     if z.shape[0] != y.shape[0]:
         raise LengthMismatch(f"{z.shape[0]} logits vs {y.shape[0]} labels")
-    if z.shape[0] == 0:
+    n = z.shape[0]
+    if n == 0:
         raise LengthMismatch("empty inputs")
-    return float(np.mean(stable_softplus(z) - y * z))
+    step = _fit_rows(0)
+    total = _ChunkedMean(n)
+    for lo in range(0, n, step):
+        zb = z[lo : lo + step]
+        total.add(stable_softplus(zb) - y[lo : lo + step] * zb, lo)
+    return total.mean()
 
 
 @dataclass(frozen=True)
@@ -134,10 +169,13 @@ class FitResult:
 
 
 def _fit_rows(m: int) -> int:
-    """Rows per block of a fit over m columns and of ``residual_moments``:
-    ``block_rows`` of a design row and four row arrays, rounded down to a
-    power of two."""
-    return 1 << (block_rows(m + 4).bit_length() - 1)
+    """Rows per block of a fit over m columns and of ``residual_moments``,
+    and (m = 0) of the loss and KL passes over logits alone: ``block_rows``
+    of a design row and four more values, rounded down to a power of two and
+    at least ``_CHUNK``, so a block holds whole chunks. The blocks set the
+    order of a fit's gradient and Hessian sums, so its weights' bits, and
+    the four values per row are kept for them."""
+    return max(_CHUNK, 1 << (block_rows(m + 4).bit_length() - 1))
 
 
 def residual_moments(design, logits, labels) -> np.ndarray:
@@ -155,11 +193,11 @@ def residual_moments(design, logits, labels) -> np.ndarray:
         raise DimensionMismatch(
             f"design {x.shape}, logits {z.shape[0]}, labels {y.shape[0]} do not align"
         )
-    r = sigmoid(z) - y
     moments = np.zeros(x.shape[1])
     step = _fit_rows(x.shape[1])
     for start in range(0, x.shape[0], step):
-        moments += x[start : start + step].T @ r[start : start + step]
+        b = slice(start, start + step)
+        moments += x[b].T @ (sigmoid(z[b]) - y[b])
     return moments / x.shape[0]
 
 
@@ -211,9 +249,8 @@ class Design:
 @dataclass
 class FitCarry:
     """The final logits ``design @ weights`` of the last fit given this
-    object, their sigmoid (None if its line search stalled, since the search
-    overwrote that array), its loss and the labels argument it was given
-    (held, not copied)."""
+    object, their sigmoid, its loss and the labels argument it was given
+    (held, not copied). The next fit given it writes over the sigmoid array."""
 
     logits: np.ndarray | None = None
     sigmoid: np.ndarray | None = None
@@ -260,18 +297,22 @@ def fit_logistic(
     sigmoid, gradient and Hessian, so each iterate costs one exponential over
     the rows. The logits are the product ``design @ weights`` itself (at
     width 1 one multiply, bitwise the same), not an update of the previous
-    logits, and the loss is the mean of the full-length loss rows, so
-    ``loss`` is bitwise ``bce_loss(design @ result.weights, labels)``: the
-    fit's loss is the loss of the column a caller publishes.
+    logits, and the loss is the ``_ChunkedMean`` of the blocks' loss rows,
+    as ``bce_loss`` forms it, so ``loss`` is bitwise
+    ``bce_loss(design @ result.weights, labels)``: the fit's loss is the
+    loss of the column a caller publishes. The fit holds two row arrays, the
+    logits and sigmoid of the last point evaluated; a line search that
+    stalls evaluates the fit's final point once more to leave them there.
 
     A ``carry`` receives the fit's final logits, their sigmoid, its loss and
     its labels, so a caller can publish those logits as they are. The next
-    fit given it takes the loss and the sigmoid (the array itself, no copy)
-    when, decided before any pass, ``design`` is a ``Design``, ``start`` is
-    pass-through of one of its extra columns (weight 1 on it, 0 elsewhere)
-    and that column is the carried logits array, and ``labels`` is the
-    carried labels array: then ``design @ start`` is bitwise the carried
-    logits. Otherwise it evaluates both, once. Results are bitwise the same.
+    fit given it takes the sigmoid array as its own, and takes the loss and
+    the sigmoid's values when, decided before any pass, ``design`` is a
+    ``Design``, ``start`` is pass-through of one of its extra columns (weight
+    1 on it, 0 elsewhere) and that column is the carried logits array, and
+    ``labels`` is the carried labels array: then ``design @ start`` is
+    bitwise the carried logits. Otherwise it evaluates both, once. Results
+    are bitwise the same.
     """
     opts = opts or FitOptions()
     if not isinstance(design, Design):
@@ -311,56 +352,58 @@ def fit_logistic(
 
     xw = np.empty((m, rows))  # a block's rows weighted for the Hessian
     eb, work = np.empty((2, rows))
+    total = _ChunkedMean(n)
 
-    def evaluate(th, z, sig, loss_rows, check=False):
-        """One pass at weights ``th``: writes the logits into ``z`` and,
-        unless ``loss_rows`` is None, the loss rows and sigmoid(z) into
-        ``loss_rows`` and ``sig`` (else ``sig`` already holds sigmoid(z));
-        returns the mean loss (None without loss rows), gradient and Hessian.
-        ``check`` rejects a non-finite design entry."""
+    def evaluate(th, with_loss=True, check=False):
+        """One pass at weights ``th``: writes the logits into ``z`` and, with
+        the loss, sigmoid(z) into ``s`` (else ``s`` already holds it);
+        returns the mean loss (None without), gradient and Hessian. ``check``
+        rejects a non-finite design entry."""
         grad, hess = np.zeros(m), np.zeros((m, m))
         for lo in range(0, n, rows):
             b = slice(lo, min(lo + rows, n))
             xt = block_of(lo, b.stop)
             if check and not np.isfinite(xt).all():
                 raise NonFinite("design or labels contain non-finite values")
-            zb, pb = z[b], sig[b]
+            zb, pb = z[b], s[b]
             e, wk = eb[: len(zb)], work[: len(zb)]
             # A width-1 matmul takes longer than the elementwise multiply.
             if m == 1:
                 np.multiply(xt[0], th[0], out=zb)
             else:
                 np.matmul(xt.T, th, out=zb)
-            if loss_rows is not None:
-                _softplus_exp(zb, e, loss_rows[b], wk)
-                loss_rows[b] -= np.multiply(y[b], zb, out=wk)
+            if with_loss:
+                # The block's loss rows are summed in pb, then its sigmoid
+                # takes their place.
+                _softplus_exp(zb, e, pb, wk)
+                pb -= np.multiply(y[b], zb, out=wk)
+                total.add(pb, lo)
                 _sigmoid_from_exp(zb, e, pb, wk)
             grad += xt @ np.subtract(pb, y[b], out=wk)
             np.multiply(pb, np.subtract(1.0, pb, out=e), out=e)
             hess += np.multiply(xt, e, out=xw[:, : len(zb)]) @ xt.T
-        loss = None if loss_rows is None else float(np.mean(loss_rows))
+        loss = total.mean() if with_loss else None
         return loss, grad / n, hess / n
 
-    # Four row-length arrays serve the whole fit, because touching fresh
-    # pages costs about as much as the arithmetic. z and s hold the current
-    # logits and their sigmoid, zc and sc a line-search candidate's; an
-    # accepted candidate swaps places with the current pair. A pass's loss
-    # rows are written over s (over zc at the start), whose values the
-    # current gradient and Hessian no longer need.
-    z, zc, sc = (np.empty(n) for _ in range(3))
+    # Two row arrays serve the whole fit, because touching fresh pages costs
+    # about as much as the arithmetic: z and s hold the logits and sigmoid
+    # of the last point evaluated, so a rejected line-search candidate
+    # writes over the current point's. z is new, since the caller may
+    # publish it; a carried sigmoid array serves as s.
+    z = np.empty(n)
     s = loss = None
     if carry is not None:
-        # A carried sigmoid array serves as s whether or not it is reused. It
-        # is reused when theta passes through extra column j of a Design and
-        # that column is the carried logits: design @ theta is then bitwise it.
+        # The carried sigmoid is reused when theta passes through extra
+        # column j of a Design and that column is the carried logits: design
+        # @ theta is then bitwise it.
         s, hot = carry.sigmoid, np.flatnonzero(theta)
         j = hot[0] - len(design.idx) if hot.size == 1 and isinstance(design, Design) else -1
         through = j >= 0 and theta[hot[0]] == 1.0 and design.columns[j] is carry.logits
         if s is not None and carry.labels is labels and through:
             loss = carry.loss
         carry.logits = carry.sigmoid = None
-    s = np.empty(n) if s is None else s
-    fresh, grad, hess = evaluate(theta, z, s, zc if loss is None else None, check=True)
+    s = np.empty(n) if s is None or s.shape != (n,) else s
+    fresh, grad, hess = evaluate(theta, with_loss=loss is None, check=True)
     loss = fresh if loss is None else loss
 
     converged, message = False, "max_iters reached"
@@ -394,15 +437,14 @@ def fit_logistic(
             t = 1.0
             while not accepted and t >= _MIN_STEP:
                 cand = theta + t * step
-                lc, gc, hc = evaluate(cand, zc, sc, s)
+                lc, gc, hc = evaluate(cand)
                 accepted = lc <= loss + _ARMIJO_C1 * t * slope + slack
                 t *= _STEP_SHRINK
             if accepted:
                 theta, loss, grad, hess = cand, lc, gc, hc
-                z, zc, s, sc = zc, z, sc, s
                 break
         if not accepted:
-            s = None
+            evaluate(theta)  # z and s hold the last rejected candidate's
             message = "line search stalled; Hessian may be singular"
             break
 

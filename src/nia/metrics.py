@@ -13,7 +13,14 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, InvalidDimension, LengthMismatch
-from .logistic import _libm, bce_loss, sigmoid, stable_softplus
+from .logistic import (
+    _ChunkedMean,
+    _fit_rows,
+    _libm,
+    bce_loss,
+    sigmoid,
+    stable_softplus,
+)
 
 
 def _check_probability(name: str, value: np.ndarray) -> None:
@@ -63,13 +70,19 @@ def expected_kl_from_logits(z_p, z_q) -> float:
     """Expected Bernoulli KL with both columns given as logits.
 
     Pointwise KL(sigma(a) || sigma(b)) = sigma(a)(a - b) - softplus(a)
-    + softplus(b), which avoids forming probabilities near 0 or 1.
+    + softplus(b), which avoids forming probabilities near 0 or 1. The mean
+    is a ``_ChunkedMean`` of rows formed one row block at a time.
     """
     a = np.asarray(z_p, dtype=np.float64).ravel()
     b = np.asarray(z_q, dtype=np.float64).ravel()
     if a.shape[0] != b.shape[0]:
         raise LengthMismatch(f"{a.shape[0]} vs {b.shape[0]} logits")
-    return float(np.mean(sigmoid(a) * (a - b) - stable_softplus(a) + stable_softplus(b)))
+    n, step = a.shape[0], _fit_rows(0)
+    total = _ChunkedMean(n)
+    for lo in range(0, n, step):
+        ab, bb = a[lo : lo + step], b[lo : lo + step]
+        total.add(sigmoid(ab) * (ab - bb) - stable_softplus(ab) + stable_softplus(bb), lo)
+    return total.mean()
 
 
 def verify_decomposition(labels, star_logits, comparators: Iterable) -> float:
@@ -79,20 +92,27 @@ def verify_decomposition(labels, star_logits, comparators: Iterable) -> float:
     ``star_logits`` must come from a converged unregularized fit and each q
     from any linear predictor on the same columns; the residual then scales
     with the solver's gradient tolerance (exactly 0 at exact stationarity).
-    The star column's terms are evaluated once; each residual is bitwise that
-    of ``bce_loss`` and ``expected_kl_from_logits``."""
+    The star column's sigmoid and softplus are evaluated once; each
+    comparator's terms are formed one row block at a time, so each residual
+    is bitwise that of ``bce_loss`` and ``expected_kl_from_logits``."""
     zs = np.asarray(star_logits, dtype=np.float64).ravel()
-    ls = bce_loss(zs, labels)  # raises LengthMismatch on a wrong length
+    y = np.asarray(labels, dtype=np.float64).ravel()
+    ls = bce_loss(zs, y)  # raises LengthMismatch on a wrong length
     sig_s, sp_s = sigmoid(zs), stable_softplus(zs)
+    n, step = zs.shape[0], _fit_rows(0)
     worst = 0.0
     for q in comparators:
         zq = np.asarray(q, dtype=np.float64).ravel()
-        if zq.shape[0] != zs.shape[0]:
+        if zq.shape[0] != n:
             raise LengthMismatch("comparator columns must match the label count")
-        sp_q = stable_softplus(zq)
-        lq = float(np.mean(sp_q - labels * zq))
-        kl = float(np.mean(sig_s * (zs - zq) - sp_s + sp_q))
-        worst = max(worst, abs(lq - ls - kl))
+        lq, kl = _ChunkedMean(n), _ChunkedMean(n)
+        for lo in range(0, n, step):
+            b = slice(lo, lo + step)
+            qb = zq[b]
+            sp_q = stable_softplus(qb)
+            lq.add(sp_q - y[b] * qb, lo)
+            kl.add(sig_s[b] * (zs[b] - qb) - sp_s[b] + sp_q, lo)
+        worst = max(worst, abs(lq.mean() - ls - kl.mean()))
     return worst
 
 

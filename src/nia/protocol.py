@@ -7,9 +7,10 @@ each agent has one record, the ``FitResult`` its fit returned. An agent's
 design is a ``Design`` that refers to the dataset's feature columns and its
 parents' columns, so no agent's design is ever copied whole. A published
 column lives only until the last agent that reads it has been fitted, so
-every run holds the graph's frontier of columns (two on a path), not n * D
-reals; a caller that needs every column takes each one as it is published
-(the logit dump spills them to disk). Each fit records the sup-norm of its
+every run holds the graph's frontier of columns (two on a path) and one
+sigmoid column that each fit hands to the next, not n * D reals; a caller
+that needs every column takes each one as it is published (the logit dump
+spills them to disk). Each fit records the sup-norm of its
 residual moments, so the orthogonality suite needs no kept column.
 """
 
@@ -107,9 +108,10 @@ def run_protocol(
     run's own, so the callee must not modify it.
 
     Each fit leaves its final state in one ``FitCarry`` passed to every fit,
-    and the run publishes the fit's own final logits. An agent starting at
+    and the run publishes the fit's own final logits. Each fit writes its
+    sigmoid over the array the fit before it left; an agent starting at
     pass-through of the column fitted just before it (on a path, every one)
-    reuses that fit's loss and sigmoid; results are bitwise the same.
+    first reuses that fit's loss and sigmoid. Results are bitwise the same.
     """
     opts = opts or FitOptions()
     max_feature = max((max(s) for s in graph.feature_sets if s), default=0)

@@ -32,9 +32,9 @@ LOG2 = math.log(2.0)
 
 
 def _fit_block_rows(width):
-    # A fit's rows per block: the budget's rows for the design row and the
-    # fit's four row arrays, rounded down to a power of two.
-    return 1 << (nia.data.block_rows(width + 4).bit_length() - 1)
+    # A fit's rows per block: the budget's rows for the design row and four
+    # more values, rounded down to a power of two and at least one chunk.
+    return max(nia.logistic._CHUNK, 1 << (nia.data.block_rows(width + 4).bit_length() - 1))
 
 
 def _reference_sigmoid(z):
@@ -141,6 +141,26 @@ class TestBceLoss:
             z = rng.normal(scale=5.0, size=20)
             y = (rng.random(20) < 0.5).astype(float)
             assert bce_loss(z, y) >= 0.0
+
+    def test_chunked_mean_of_a_million_rows_matches_fsum(self):
+        # Several row blocks and a short last chunk.
+        rng = np.random.default_rng(59)
+        n = 1_000_000
+        z = rng.normal(scale=3.0, size=n)
+        y = (rng.random(n) < sigmoid(z)).astype(float)
+        rows = _reference_softplus(z) - y * z
+        assert bce_loss(z, y) == pytest.approx(math.fsum(rows) / n, rel=1e-15, abs=0)
+
+    def test_chunk_sums_are_each_chunks_reduce(self):
+        # Blocks of two and three chunks, then a short last chunk.
+        chunk = nia.logistic._CHUNK
+        rows = np.random.default_rng(61).normal(size=5 * chunk + 7)
+        total = nia.logistic._ChunkedMean(len(rows))
+        for start, stop in ((0, 2 * chunk), (2 * chunk, len(rows))):
+            total.add(rows[start:stop], start)
+        want = [np.add.reduce(rows[i : i + chunk]) for i in range(0, len(rows), chunk)]
+        assert total.sums.tobytes() == np.array(want).tobytes()
+        assert total.mean() == float(np.add.reduce(np.array(want)) / len(rows))
 
 
 def _numeric_gradient(design, labels, theta, step=1e-5):
@@ -508,6 +528,18 @@ class TestWarmStart:
                 assert fit.iterations > 0
                 assert fit.loss == bce_loss(design @ fit.weights, ds.labels), agent
 
+    @pytest.mark.parametrize(
+        "n", [1, nia.logistic._CHUNK - 1, nia.logistic._CHUNK, nia.logistic._CHUNK + 1, None]
+    )
+    def test_loss_is_bce_at_chunk_and_block_edges(self, n):
+        # None: three blocks and 101 rows, a short last block and chunk.
+        n = n or 3 * _fit_block_rows(2) + 101
+        rng = np.random.default_rng(67)
+        design = rng.normal(size=(n, 2))
+        labels = (rng.random(n) < sigmoid(design @ np.array([0.7, -0.3]))).astype(float)
+        fit = fit_logistic(design, labels, start=[0.1, 0.1])
+        assert fit.loss == bce_loss(design @ fit.weights, labels)
+
     @pytest.mark.parametrize("start", [[1.0], [1.0, 0.0, 0.0, 0.0]])
     def test_wrong_length_rejected(self, problem, start):
         design, labels = problem
@@ -574,6 +606,51 @@ class TestFitCarry:
         _assert_same_fit(fit, fit_logistic(extended, labels, start=start))
         assert reused == len(softplus_passes) - reused - 1
         assert carry.logits.tobytes() == (np.asarray(extended) @ fit.weights).tobytes()
+
+    def test_fit_given_a_carry_allocates_one_row_array(self):
+        # The new logits are the fit's one row array: the carried sigmoid
+        # array is written over, and the loss rows are summed per block.
+        n = 200_000
+        rng = np.random.default_rng(71)
+        features = np.asfortranarray(rng.normal(size=(n, 2)))
+        labels = (rng.random(n) < sigmoid(features @ np.array([0.6, 0.4]))).astype(float)
+        carry = FitCarry()
+        fit_logistic(Design(features, (0,)), labels, carry=carry)
+        design = Design(features, (1,), (carry.logits,))
+        blocks = 8 * (2 * 2 + 2) * _fit_block_rows(2) + 8 * -(-n // nia.logistic._CHUNK)
+        tracemalloc.start()
+        try:
+            fit = fit_logistic(design, labels, start=[0.0, 1.0], carry=carry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.converged and fit.iterations > 0
+        assert peak <= 8 * n + blocks + (128 << 10), peak
+
+    def test_carry_from_another_row_count_is_not_written_over(self, problem):
+        design, labels = problem
+        carry = FitCarry()
+        fit_logistic(design[:1000], labels[:1000], carry=carry)
+        left = carry.sigmoid
+        fit = fit_logistic(design, labels, carry=carry)
+        _assert_same_fit(fit, fit_logistic(design, labels))
+        assert carry.sigmoid is not left and carry.sigmoid.shape == (3000,)
+
+    def test_stalled_line_search_leaves_its_final_state(self, problem, monkeypatch):
+        # No step can meet this Armijo constant, so the first line search
+        # stalls after writing rejected candidates over the logits and
+        # sigmoid; the fit evaluates its final point again.
+        design, labels = problem
+        monkeypatch.setattr(nia.logistic, "_ARMIJO_C1", 1e6)
+        carry = FitCarry()
+        start = [0.5, -0.2, 0.1]
+        by_reference = Design(design, (0, 1, 2))
+        fit = fit_logistic(by_reference, labels, start=start, carry=carry)
+        assert fit.message.startswith("line search stalled")
+        assert fit.weights.tobytes() == np.array(start).tobytes()
+        assert carry.logits.tobytes() == (np.asarray(by_reference) @ fit.weights).tobytes()
+        assert carry.sigmoid.tobytes() == sigmoid(carry.logits).tobytes()
+        assert carry.loss == fit.loss == bce_loss(carry.logits, labels)
 
 
 class TestResidualMoments:

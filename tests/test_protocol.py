@@ -35,9 +35,9 @@ LOG2 = math.log(2.0)
 
 
 def _fit_block_rows(width):
-    # A fit's rows per block: the budget's rows for the design row and the
-    # fit's four row arrays, rounded down to a power of two.
-    return 1 << (nia.data.block_rows(width + 4).bit_length() - 1)
+    # A fit's rows per block: the budget's rows for the design row and four
+    # more values, rounded down to a power of two and at least one chunk.
+    return max(nia.logistic._CHUNK, 1 << (nia.data.block_rows(width + 4).bit_length() - 1))
 
 
 def _run_with_columns(ds, graph, opts=None):
@@ -337,8 +337,9 @@ class TestStreaming:
 
     def test_peak_memory_holds_no_agent_design(self):
         # Fits read each agent's columns in row blocks, so the peak is the
-        # fit's four row arrays, the frontier and the block buffers; an
-        # n x 6 copy of the widest design would pass 7 columns.
+        # fit's two row arrays, the frontier and the block buffers, under 5
+        # columns and the blocks; an n x 6 copy of the widest design would
+        # pass that, and so would a fit holding four row arrays.
         n = 100_000
         ds = generate_hard_instance(HardInstanceSpec(k=8, n=n, seed=1))
         graph = _windowed_path()
@@ -354,7 +355,7 @@ class TestStreaming:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7 * 8 * n + blocks, peak
+        assert peak < 5 * 8 * n + blocks, peak
 
 
 class TestGatheredDesign:
