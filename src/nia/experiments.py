@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from itertools import repeat
 from typing import Callable
@@ -217,6 +216,10 @@ def scan_experiment(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     seeds = config.instance.seeds
 
     if threads > 1 and len(seeds) > 1:
+        # Imported here: concurrent.futures brings in multiprocessing, socket
+        # and logging, which no serial command needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             per_seed = list(
                 pool.map(

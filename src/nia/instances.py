@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from numpy.random import Generator, Philox
 
 from .data import Dataset, block_rows
@@ -277,6 +276,10 @@ def numeric_pass_coefficients(p: int, c: float) -> tuple[float, float]:
 def _hermite_nodes() -> tuple[np.ndarray, np.ndarray]:
     """The QUADRATURE_NODES-point Gauss-Hermite rule, built once; read-only
     because every caller shares it."""
+    # Imported here: numpy.polynomial loads every polynomial family, and
+    # only the quadrature analytics of `verify` need this one rule.
+    from numpy.polynomial.hermite import hermgauss
+
     t, w = hermgauss(QUADRATURE_NODES)
     t.setflags(write=False)
     w.setflags(write=False)

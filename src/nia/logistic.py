@@ -193,6 +193,8 @@ def residual_moments(design, logits, labels) -> np.ndarray:
         raise DimensionMismatch(
             f"design {x.shape}, logits {z.shape[0]}, labels {y.shape[0]} do not align"
         )
+    if x.shape[0] == 0:
+        raise LengthMismatch("empty inputs")
     moments = np.zeros(x.shape[1])
     step = _fit_rows(x.shape[1])
     for start in range(0, x.shape[0], step):

@@ -77,6 +77,8 @@ def expected_kl_from_logits(z_p, z_q) -> float:
     b = np.asarray(z_q, dtype=np.float64).ravel()
     if a.shape[0] != b.shape[0]:
         raise LengthMismatch(f"{a.shape[0]} vs {b.shape[0]} logits")
+    if a.shape[0] == 0:
+        raise LengthMismatch("empty inputs")
     n, step = a.shape[0], _fit_rows(0)
     total = _ChunkedMean(n)
     for lo in range(0, n, step):
@@ -166,7 +168,7 @@ def feature_second_moment_bound(features) -> float:
     One column at a time, through one length-n scratch array, so the value
     is the same for either memory order and no n x d temporary is made."""
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] == 0:
+    if x.ndim != 2 or x.size == 0:
         raise InvalidDimension("need a nonempty 2-d feature matrix")
     sq = np.empty(x.shape[0])
     return float(np.sqrt(max(np.mean(np.square(col, out=sq)) for col in x.T)))

@@ -612,6 +612,8 @@ class TestNumpyOnly:
     def test_generate_run_verify_with_scipy_blocked(self, tmp_path):
         # The runtime needs numpy alone: with every scipy import failing, a
         # small generate, run and verify all succeed and load no scipy module.
+        # Until verify, neither the scan's process pool (concurrent.futures)
+        # nor the Gauss-Hermite rule (numpy.polynomial) is loaded either.
         configs = {
             "generate": {"instance": {"kind": "hard", "k": 4, "n": 2000, "seeds": [1]},
                          "out_dir": "data"},
@@ -635,8 +637,13 @@ class TestNumpyOnly:
             import nia
             from nia.cli import main
 
-            commands = ("generate", "run", "verify")
-            codes = [main([cmd, "--config", f"{cmd}.json"]) for cmd in commands]
+            def unused_loaded():
+                return [m for m in sys.modules
+                        if m.startswith(("concurrent.futures", "numpy.polynomial"))]
+
+            codes = [main([cmd, "--config", f"{cmd}.json"]) for cmd in ("generate", "run")]
+            assert not unused_loaded(), unused_loaded()
+            codes.append(main(["verify", "--config", "verify.json"]))
             assert codes == [0, 0, 0], codes
             loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
             assert not loaded, loaded

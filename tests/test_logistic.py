@@ -681,3 +681,7 @@ class TestResidualMoments:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             residual_moments(np.zeros((3, 2)), np.zeros(4), np.zeros(4))
+
+    def test_empty_rejected(self):
+        with pytest.raises(LengthMismatch, match="empty inputs"):
+            residual_moments(np.empty((0, 2)), [], [])

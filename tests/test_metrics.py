@@ -119,6 +119,12 @@ class TestExpectedKl:
         with pytest.raises(LengthMismatch):
             expected_kl_from_logits([0.5], [0.5, 0.5])
 
+    def test_empty_rejected(self):
+        with pytest.raises(LengthMismatch, match="empty inputs"):
+            bernoulli_kl_pointwise([], [])
+        with pytest.raises(LengthMismatch, match="empty inputs"):
+            expected_kl_from_logits([], [])
+
     def test_logit_form_matches_probability_form(self):
         rng = np.random.default_rng(2)
         za = rng.normal(scale=3.0, size=500)
@@ -246,6 +252,11 @@ class TestBoundFormulas:
         reference = max(np.sqrt(np.mean(np.square(features[:, l]))) for l in range(4))
         for order in ("C", "F"):
             assert feature_second_moment_bound(np.asarray(features, order=order)) == reference
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0), (0, 0)])
+    def test_second_moment_bound_rejects_empty(self, shape):
+        with pytest.raises(InvalidDimension):
+            feature_second_moment_bound(np.empty(shape))
 
     def test_convergence_bound_formula(self):
         assert convergence_bound_rhs(2.0, 1.5, 3, 9) == pytest.approx(3.0, rel=1e-15)
