@@ -2,10 +2,11 @@
 
 Agents arranged in a DAG each observe a subset of the feature columns, fit a
 logistic model on those columns plus their parents' logit columns, and pass
-their own logits on. The package provides the protocol engine, the
-numerically stable logistic solver behind it, KL-based loss-gap diagnostics
-and bound calculators, generators for a chained-latent hard instance with
-closed-form analytics, and a CLI for reproducible experiments.
+their own logits on. The package provides the protocol engine and its
+n = inf counterpart on the same walk over the DAG, the numerically stable
+logistic solver behind it, KL-based loss-gap diagnostics and bound
+calculators, generators for a chained-latent hard instance with closed-form
+analytics, and a CLI for reproducible experiments.
 """
 
 from .data import Dataset
@@ -63,7 +64,8 @@ from .metrics import (
     stable_block,
     verify_decomposition,
 )
-from .protocol import ProtocolTrace, agent_design, run_protocol, sink_excess_loss
+from .population import PopulationAgent, population_loss, population_protocol
+from .protocol import ProtocolTrace, agent_design, run_protocol, sink_excess_loss, walk
 
 __version__ = "0.1.0"
 
@@ -89,6 +91,7 @@ __all__ = [
     "NotAPath",
     "NotConvergedWarning",
     "PassPredictor",
+    "PopulationAgent",
     "ProtocolTrace",
     "StableBlock",
     "agent_design",
@@ -107,6 +110,8 @@ __all__ = [
     "noise_monotonicity_check",
     "optimal_pass_coefficients",
     "optimal_scaling_factor",
+    "population_loss",
+    "population_protocol",
     "relevance_set",
     "residual_bound_rhs",
     "residual_moments",
@@ -117,4 +122,5 @@ __all__ = [
     "stable_block",
     "stable_softplus",
     "verify_decomposition",
+    "walk",
 ]

@@ -1,4 +1,4 @@
-"""Agent DAGs: construction, deterministic topological order, path coverage."""
+"""Agent DAGs: construction, deterministic topological order, feature range, path coverage."""
 
 from __future__ import annotations
 
@@ -8,7 +8,14 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import CycleDetected, IndexOutOfRange, InvalidDimension, InvalidGraph, NotAPath
+from .errors import (
+    CycleDetected,
+    DimensionMismatch,
+    IndexOutOfRange,
+    InvalidDimension,
+    InvalidGraph,
+    NotAPath,
+)
 
 
 @dataclass(frozen=True)
@@ -133,6 +140,16 @@ def _topological_order(n: int, parents: list[list[int]]) -> tuple[int, ...]:
         stuck = sorted(a for a in range(1, n + 1) if indeg[a - 1] > 0)
         raise CycleDetected(f"edge relation has a cycle through agents {stuck}")
     return tuple(order)
+
+
+def check_feature_range(graph: AgentGraph, d: int, source: str) -> None:
+    """Raise DimensionMismatch if an agent reads a feature beyond the ``d``
+    features of ``source``, the name the message gives them."""
+    max_feature = max((max(s) for s in graph.feature_sets if s), default=0)
+    if max_feature > d:
+        raise DimensionMismatch(
+            f"graph references feature {max_feature} but {source} has d={d}"
+        )
 
 
 def check_m_coverage(graph: AgentGraph, m: int, d: int) -> CoverageResult:

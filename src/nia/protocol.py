@@ -5,13 +5,14 @@ local feature columns plus its parents' logit columns and publishes its own
 logit column ``design @ weights``. The fit's loss is that column's loss, so
 each agent has one record, the ``FitResult`` its fit returned. An agent's
 design is a ``Design`` that refers to the dataset's feature columns and its
-parents' columns, so no agent's design is ever copied whole. A published
-column lives only until the last agent that reads it has been fitted, so
-every run holds the graph's frontier of columns (two on a path) and one
-sigmoid column that each fit hands to the next, not n * D reals; a caller
-that needs every column takes each one as it is published (the logit dump
-spills them to disk). Each fit records the sup-norm of its
-residual moments, so the orthogonality suite needs no kept column.
+parents' columns, so no agent's design is ever copied whole. ``walk`` keeps
+a published column only until its last reader has been fitted, so a run
+holds the graph's frontier of columns and one sigmoid column that each fit
+hands to the next, not n * D reals; a caller that needs every column takes
+each one as it is published (the logit dump spills them to disk). Each fit
+records the sup-norm of its residual moments, so the orthogonality suite
+needs no kept column. ``nia.population`` runs the n = inf protocol on the
+same walk.
 """
 
 from __future__ import annotations
@@ -23,22 +24,22 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .data import Dataset
-from .errors import DimensionMismatch, MissingParent, NotConvergedWarning
-from .graph import AgentGraph
+from .errors import MissingParent, NotConvergedWarning
+from .graph import AgentGraph, check_feature_range
 from .logistic import Design, FitCarry, FitOptions, FitResult, fit_logistic
 
 
 @dataclass(frozen=True)
 class ProtocolTrace:
-    """Per-agent fits and published logit columns of one protocol run.
+    """Per-agent fits of one protocol run.
 
     ``models[a]`` is agent a's ``FitResult`` as the fit returned it: its
     ``weights`` are the local feature weights (ascending feature index) then
     the parent logit weights (declared parent order), and its ``loss`` is
-    bitwise ``bce_loss(design @ weights, labels)``. ``logits`` is the run's
-    frontier: ``logits[a]`` is agent a's published column from its fit until
-    its last child has been fitted, so it is empty when the run returns
-    (it is kept for the benchmark's tracer); ``publish`` gives the columns.
+    bitwise ``bce_loss(design @ weights, labels)``. ``logits`` is always
+    empty: the run's columns live in ``walk``'s frontier and reach a caller
+    through ``publish``. The field stays because the benchmark's tracer
+    reads it.
     """
 
     order: tuple[int, ...]
@@ -79,6 +80,27 @@ def agent_design(
     return Design(dataset.features, idx, tuple(columns[p] for p in parents))
 
 
+def walk(graph: AgentGraph, step: Callable[[int, Mapping[int, object]], object]) -> None:
+    """Call ``step(agent_id, states)`` once per agent in ``graph.topo_order``.
+
+    ``states`` maps each earlier agent read by this agent or a later one to
+    what its step returned, so it holds every parent of ``agent_id``. A
+    state lives until the step of its last reader returns, and a state no
+    agent reads is never kept, so memory is bounded by the graph's frontier
+    (one state on a path), not by its depth."""
+    # Later agents in the topological order overwrite earlier ones, so each
+    # state maps to its last reader; states nobody reads have no entry.
+    last_reader = {p: a for a in graph.topo_order for p in graph.parents_of(a)}
+    states: dict[int, object] = {}
+    for agent_id in graph.topo_order:
+        state = step(agent_id, states)
+        for parent in graph.parents_of(agent_id):
+            if last_reader[parent] == agent_id:
+                del states[parent]
+        if agent_id in last_reader:
+            states[agent_id] = state
+
+
 def run_protocol(
     dataset: Dataset,
     graph: AgentGraph,
@@ -98,14 +120,10 @@ def run_protocol(
     unconverged fit. Results are deterministic for fixed inputs under a fixed
     threading configuration.
 
-    The run streams: a published column lives only until the last agent
-    that reads it (in topological order) has been fitted, and a column
-    no agent reads is never kept, so memory is bounded by the graph's
-    frontier instead of n * D and the returned ``logits`` is empty.
+    The run is ``walk`` with a fit step whose state is the published column.
     ``publish(agent_id, column)``, when given, is how a caller sees every
-    column: it is called once per agent in topological order with the column
-    the agent publishes, before the next agent is fitted. The array is the
-    run's own, so the callee must not modify it.
+    column: it is called once per agent, before the next fit, with an array
+    the run owns, so the callee must not modify it.
 
     Each fit leaves its final state in one ``FitCarry`` passed to every fit,
     and the run publishes the fit's own final logits. Each fit writes its
@@ -114,18 +132,12 @@ def run_protocol(
     first reuses that fit's loss and sigmoid. Results are bitwise the same.
     """
     opts = opts or FitOptions()
-    max_feature = max((max(s) for s in graph.feature_sets if s), default=0)
-    if max_feature > dataset.d:
-        raise DimensionMismatch(
-            f"graph references feature {max_feature} but dataset has d={dataset.d}"
-        )
-    # Later agents in the topological order overwrite earlier ones, so each
-    # column maps to its last reader; columns nobody reads have no entry.
-    last_reader = {p: a for a in graph.topo_order for p in graph.parents_of(a)}
+    check_feature_range(graph, dataset.d, "dataset")
     trace = ProtocolTrace(order=graph.topo_order, models={}, logits={})
     carry = FitCarry()
-    for agent_id in graph.topo_order:
-        design = agent_design(dataset, graph, agent_id, trace.logits)
+
+    def fit(agent_id: int, columns: Mapping[int, np.ndarray]) -> np.ndarray:
+        design = agent_design(dataset, graph, agent_id, columns)
         parents = graph.parents_of(agent_id)
         start = None
         if parents:
@@ -133,14 +145,11 @@ def run_protocol(
             best = np.argmin([trace.models[p].loss for p in parents])
             start[len(design.idx) + int(best)] = 1.0
         trace.models[agent_id] = fit_logistic(design, dataset.labels, opts, start, carry)
-        del design  # it refers to the parent columns freed below
-        for parent in parents:
-            if last_reader[parent] == agent_id:
-                del trace.logits[parent]
         if publish is not None:
             publish(agent_id, carry.logits)
-        if agent_id in last_reader:
-            trace.logits[agent_id] = carry.logits
+        return carry.logits
+
+    walk(graph, fit)
     return trace
 
 

@@ -10,9 +10,10 @@ The lower-bound analysis describes the end of pass p only for p <= k-1
 (``relevance_set``, ``optimal_pass_coefficients``). Criterion 4 therefore
 asserts the pass curve on p = 1..K-1 and reports the later passes.
 Criterion 5 checks the end-of-pass structure on the population (n = inf)
-protocol, where the analysis states it, and reports the sampled seed-1 run
-next to it: at finite n the first-pass agents publish noise columns that the
-next fit amplifies, and that leak does not shrink as n grows.
+protocol of ``nia.population_protocol``, where the analysis states it, and
+reports the sampled seed-1 run next to it: at finite n the first-pass agents
+publish noise columns that the next fit amplifies, and that leak does not
+shrink as n grows.
 """
 
 import math
@@ -28,8 +29,8 @@ from nia import (
     cyclic_path_assignment,
     fit_logistic,
     generate_hard_instance,
-    link_scale,
     optimal_scaling_factor,
+    population_protocol,
     relevance_set,
     residual_moments,
     run_protocol,
@@ -51,6 +52,12 @@ DEPTH_GRID = (8, 16, 32, 64, 128)
 PASS_GRID = tuple(range(1, 9))
 ANALYSED_PASSES = tuple(range(1, K))  # p <= k-1, where the pass-p form exists
 MAX_DEPTH = max(max(DEPTH_GRID), K * max(PASS_GRID))
+DIFFERENCING = np.eye(K) - np.eye(K, k=-1)  # B of the hard instance, x = B Z
+# Population (n = inf) excess at the end of pass p on the k = 4 cyclic path,
+# as (value, decimals) to the digits the criterion-4 docstring and the README quote.
+POPULATION_EXCESS = {
+    1: (0.0491, 4), 2: (0.0333, 4), 3: (0.0256, 4), 4: (0.0150, 4), 5: (0.0064, 4), 8: (3e-5, 5)
+}
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -106,29 +113,16 @@ def scaling_runs():
     return {"runs": runs, "seed_one": seed_one, "elapsed": time.monotonic() - start}
 
 
-def _population_cyclic_path(k: int, depth: int) -> list[np.ndarray]:
-    """Latent predictors u (published logit u . Z) of the first ``depth``
-    agents of the cyclic path when every agent fits at n = inf.
-
-    With x = B Z (x_1 = Z_1, x_l = Z_l - Z_{l-1}) and Z ~ N(0, I_k), a
-    predictor u . Z has population loss E[softplus(|u| G)] - u_k E[Z sigmoid(Z)].
-    Each agent minimises it over the span of its feature row of B and its
-    parent's u. At a fixed norm |u| = s the loss is lowest where u_k is
-    largest, so the minimiser points along the projection P e_k of e_k onto
-    that span, and s = link_scale(|P e_k|). An agent whose span is orthogonal
-    to e_k publishes the zero column, which adds nothing to its child's span.
-    """
-    rows = np.eye(k) - np.eye(k, k=-1)
-    e_k = np.eye(k)[-1]
-    u = np.zeros(k)
-    published = []
-    for i in range(depth):
-        span = np.column_stack([rows[i % k], u])
-        proj = span @ np.linalg.lstsq(span, e_k, rcond=None)[0]
-        r = float(np.linalg.norm(proj))
-        u = link_scale(r) * proj / r if r > 1e-12 else np.zeros(k)
-        published.append(u)
-    return published
+def _population_path(depth: int) -> tuple[dict, dict]:
+    """The n = inf protocol on the first ``depth`` agents of the cyclic path:
+    each agent's ``PopulationAgent`` and its latent predictor u (published
+    logit u . Z), for the generator's map x = B Z (x_1 = Z_1,
+    x_l = Z_l - Z_{l-1}) and labels Bernoulli(sigmoid(Z_k))."""
+    predictors = {}
+    agents = population_protocol(
+        cyclic_path_assignment(K, depth), DIFFERENCING, np.eye(K)[-1], predictors.__setitem__
+    )
+    return agents, predictors
 
 
 def _mean_excess(runs: dict, depth: int) -> float:
@@ -265,7 +259,8 @@ class TestCriterion4PassScaling:
         p = k the Z_{k-p} term it needs is gone. Once every feature has
         entered, decay turns geometric; the population protocol at k = 4 has
         excess 0.0491, 0.0333, 0.0256, 0.0150, 0.0064 and 3e-5 at p = 1..5
-        and 8. The p >= K points are reported, not asserted.
+        and 8 (``POPULATION_EXCESS``). The sampled p >= K points are reported,
+        not asserted.
 
         The code does not settle whether the two-sided window holds even for
         p <= k-1: the scan's ``lower_shape`` column 1/(p+1) is a shape fitted
@@ -299,6 +294,15 @@ class TestCriterion4PassScaling:
         _report("4 pass-curve window", ok, detail)
         assert ok, detail
 
+    def test_population_excess_is_the_quoted_curve(self):
+        agents, predictors = _population_path(K * max(POPULATION_EXCESS))
+        for p, (quoted, decimals) in POPULATION_EXCESS.items():
+            assert round(agents[K * p].excess, decimals) == quoted, (p, agents[K * p])
+        # The first k - 1 agents see only features orthogonal to Z_k.
+        for agent in range(1, K):
+            assert agents[agent].r == 0.0
+            assert not predictors[agent].any()
+
 
 class TestCriterion5StructuralDiagnostics:
     def test_5_end_of_pass_structure(self, scaling_runs):
@@ -312,8 +316,8 @@ class TestCriterion5StructuralDiagnostics:
         outside coefficient per pass ranged over 0.02-1.1, 0.09-0.31 and
         0.01-0.31 at n = 2e4, 2e5 and 2e6: the leak does not shrink with n.
         """
-        population = _population_cyclic_path(K, 3 * K)
-        latent_to_features = np.linalg.inv(np.eye(K) - np.eye(K, k=-1)).T  # B^{-T}
+        _, population = _population_path(3 * K)
+        latent_to_features = np.linalg.inv(DIFFERENCING).T  # B^{-T}
         features = scaling_runs["seed_one"]["features"]
         zk = scaling_runs["seed_one"]["zk"]
         lines = []
@@ -321,7 +325,7 @@ class TestCriterion5StructuralDiagnostics:
         for p in (1, 2, 3):
             c_star = optimal_scaling_factor(p)
             outside = [l - 1 for l in range(1, K + 1) if l not in relevance_set(K, p)]
-            u = population[K * p - 1]
+            u = population[K * p]
             slope = float(u[-1])
             max_outside = float(np.max(np.abs((latent_to_features @ u)[outside])))
             point_ok = 0.0 < slope < 1.0 and abs(slope - c_star) <= 0.05 and max_outside <= 0.02
@@ -345,9 +349,9 @@ class TestCriterion5StructuralDiagnostics:
 
     def test_population_helper_reaches_e_k(self):
         # From about depth 76 at k = 4 the projection's norm rounds above 1; the
-        # helper still runs, and by depth 128 it publishes e_k itself.
-        u = _population_cyclic_path(K, 128)[-1]
-        assert np.max(np.abs(u - np.eye(K)[-1])) <= 1e-12
+        # engine still runs, and by depth 128 it publishes e_k itself.
+        _, population = _population_path(128)
+        assert np.max(np.abs(population[128] - np.eye(K)[-1])) <= 1e-12
 
 
 class TestCriterion6GradientCheck:

@@ -25,6 +25,7 @@ from nia import (
     residual_moments,
     run_protocol,
     sink_excess_loss,
+    walk,
 )
 import nia.data
 import nia.logistic
@@ -267,6 +268,43 @@ class TestRunProtocol:
                 if parents:
                     best = min(trace.models[p].loss for p in parents)
                     assert model.loss <= best + 1e-12, (seed, agent)
+
+
+class TestWalk:
+    """The walk hands each step the states of exactly the earlier agents that
+    this agent or a later one reads, each as that agent's step returned it."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            cyclic_path_assignment(4, 12),
+            _diamond_dag(),
+            _layered_dag(),
+            _skip_edge_dag(),
+            # Agent 2 is a sink that agent 3 follows, so its state is never kept.
+            build_agent_graph([(1, 2), (1, 3)], [{1}, {2}, {2}], d=2),
+        ],
+        ids=["cyclic_path", "diamond", "layered_6x4", "skip_edge", "early_sink"],
+    )
+    def test_states_are_the_frontier(self, graph):
+        order = graph.topo_order
+        visited = []
+
+        def step(agent_id, states):
+            i = len(visited)
+            read_later = {p for c in order[i:] for p in graph.parents_of(c)}
+            assert set(states) == set(order[:i]) & read_later, agent_id
+            assert all(states[p] == ("state", p) for p in states), agent_id
+            visited.append(agent_id)
+            return ("state", agent_id)
+
+        walk(graph, step)
+        assert visited == list(order)
+
+    def test_path_holds_one_state(self):
+        sizes = []
+        walk(cyclic_path_assignment(3, 9), lambda a, states: sizes.append(len(states)))
+        assert sizes == [0] + [1] * 8
 
 
 class TestMomentNorm:
